@@ -194,23 +194,29 @@ def save_chain(chain: Chain, path: str | Path) -> None:
 
 
 def load_chain(path: str | Path) -> Chain:
+    """Read a chain file; any malformed content raises ValueError."""
     payload = json.loads(Path(path).read_text())
+    if not isinstance(payload, dict):
+        raise ValueError(f"chain file {path} must hold a JSON object")
     version = payload.get("version")
     if version != CHAIN_FORMAT_VERSION:
         raise ValueError(f"unsupported chain file version {version!r}")
-    hp = HashParams(
-        digest_bits=payload["hash_params"]["digest_bits"],
-        rounds=payload["hash_params"]["rounds"],
-        true_chi=payload["hash_params"].get("true_chi", False),
-    )
-    blocks = []
-    for entry in payload["blocks"]:
-        header = BlockHeader(
-            prev_digest=int(entry["prev_digest"], 16),
-            payload_digest=int(entry["payload_digest"], 16),
-            timestamp=int(entry["timestamp"]),
-            difficulty_zeros=int(entry["difficulty_zeros"]),
-            nonce=int(entry["nonce"], 16),
+    try:
+        hp = HashParams(
+            digest_bits=payload["hash_params"]["digest_bits"],
+            rounds=payload["hash_params"]["rounds"],
+            true_chi=payload["hash_params"].get("true_chi", False),
         )
-        blocks.append(Block(header, Digest(int(entry["digest"], 16), hp.digest_bits)))
-    return Chain(hash_params=hp, nonce_bits=int(payload["nonce_bits"]), blocks=blocks)
+        blocks = []
+        for entry in payload["blocks"]:
+            header = BlockHeader(
+                prev_digest=int(entry["prev_digest"], 16),
+                payload_digest=int(entry["payload_digest"], 16),
+                timestamp=int(entry["timestamp"]),
+                difficulty_zeros=int(entry["difficulty_zeros"]),
+                nonce=int(entry["nonce"], 16),
+            )
+            blocks.append(Block(header, Digest(int(entry["digest"], 16), hp.digest_bits)))
+        return Chain(hash_params=hp, nonce_bits=int(payload["nonce_bits"]), blocks=blocks)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed chain file {path}: {exc!r}") from None

@@ -165,8 +165,7 @@ def apply_circuit(state: "StateVector", circuit: Circuit) -> None:
     if circuit.num_qubits > state.num_qubits:
         raise ValueError(f"circuit needs {circuit.num_qubits} qubits, "
                          f"state has {state.num_qubits}")
-    for gate in circuit.gates:
-        state.apply_gate(gate)
+    state.apply_gates(circuit.gates)
 
 
 def format_circuit(circuit: Circuit) -> str:

@@ -135,38 +135,41 @@ class _Resolver:
         self.args = args
         self.file = _load_config_file(getattr(args, "config", None))
 
-    def get(self, key: str, default):
-        flag = getattr(self.args, key, None)
-        if flag is not None:
-            return flag
-        if key in self.file:
-            return self.file[key]
-        return default
+    def get(self, key: str, default, convert=lambda value: value):
+        value = getattr(self.args, key, None)
+        if value is None:
+            value = self.file.get(key, default)
+        try:
+            return convert(value)
+        except (TypeError, ValueError):
+            raise ValueError(f"invalid value for {key}: {value!r}") from None
+
+
+def _int_or_auto(value):
+    return value if value == "auto" else int(value)
 
 
 def _resolve_run_config(args: argparse.Namespace) -> RunConfig:
     r = _Resolver(args)
-    n = int(r.get("n", 4))
-    m = int(r.get("m", 8))
-    zeros = r.get("zeros", "auto")
-    if getattr(args, "auto_zeros", False):
-        zeros = "auto"
-    if zeros == "auto":
+    n = r.get("n", 4, int)
+    m = r.get("m", 8, int)
+    zeros = r.get("zeros", "auto", _int_or_auto)
+    if getattr(args, "auto_zeros", False) or zeros == "auto":
         zeros = compute_required_zeros(n, m)
     cfg = RunConfig(
         n=n,
         m=m,
-        rounds=int(r.get("rounds", 2)),
-        zeros=int(zeros),
+        rounds=r.get("rounds", 2, int),
+        zeros=zeros,
         true_chi=bool(r.get("true_chi", False)),
-        prev=int(str(r.get("prev", "0")), 16),
-        payload=int(str(r.get("payload", "0")), 16),
-        timestamp=int(r.get("timestamp", 0)),
-        seed=int(r.get("seed", 0)),
+        prev=r.get("prev", "0", lambda v: int(str(v), 16)),
+        payload=r.get("payload", "0", lambda v: int(str(v), 16)),
+        timestamp=r.get("timestamp", 0, int),
+        seed=r.get("seed", 0, int),
         mode=str(r.get("mode", "both")),
         exact=bool(r.get("exact", False)),
-        max_grover_rounds=int(r.get("max_grover_rounds", 3)),
-        hint=(int(r.get("hint", 0)) or None),
+        max_grover_rounds=r.get("max_grover_rounds", 3, int),
+        hint=r.get("hint", 0, int) or None,
         chain_file=r.get("chain_file", None),
         csv_out=r.get("csv_out", None),
         dump_circuits=r.get("dump_circuits", None),
@@ -346,19 +349,19 @@ def cmd_sweep(cfg: RunConfig, k_max: int | None) -> int:
 
 def cmd_estimate(args: argparse.Namespace) -> int:
     r = _Resolver(args)
-    nonce_bits = int(r.get("n", 48))
-    hash_rate = float(r.get("hash_rate", 7e6))
-    gate_time = float(r.get("gate_time", 1e-9))
-    gates_per_iteration = int(r.get("gates_per_iteration", 1))
+    nonce_bits = r.get("n", 48, int)
+    hash_rate = r.get("hash_rate", 7e6, float)
+    gate_time = r.get("gate_time", 1e-9, float)
+    gates_per_iteration = r.get("gates_per_iteration", 1, int)
     source = "assumed"
     if bool(r.get("measured", False)):
-        desk_n = int(r.get("measure_n", 4))
-        hp = HashParams(int(r.get("m", 8)), int(r.get("rounds", 2)),
+        desk_n = r.get("measure_n", 4, int)
+        hp = HashParams(r.get("m", 8, int), r.get("rounds", 2, int),
                         bool(r.get("true_chi", False)))
-        zeros = r.get("zeros", "auto")
+        zeros = r.get("zeros", "auto", _int_or_auto)
         if zeros == "auto":
             zeros = compute_required_zeros(desk_n, hp.digest_bits)
-        gates_per_iteration = measured_gates_per_iteration(desk_n, hp, int(zeros))
+        gates_per_iteration = measured_gates_per_iteration(desk_n, hp, zeros)
         source = (f"measured at n={desk_n} m={hp.digest_bits} "
                   f"rounds={hp.rounds} zeros={zeros}")
 

@@ -118,10 +118,8 @@ def prepare(state: StateVector, layout: RegisterLayout) -> None:
     """Uniform superposition on the nonce register; functional qubit to
     |-> (X then H) so the oracle kicks back a phase.  Hash and service
     qubits stay |0>."""
-    for q in layout.nonce:
-        state.apply_gate(Gate.h(q))
-    state.apply_gate(Gate.x(layout.functional))
-    state.apply_gate(Gate.h(layout.functional))
+    state.apply_gates([Gate.h(q) for q in layout.nonce]
+                      + [Gate.x(layout.functional), Gate.h(layout.functional)])
 
 
 def build_oracle(layout: RegisterLayout, zeros: int) -> Circuit:

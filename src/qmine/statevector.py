@@ -1,19 +1,19 @@
-"""Dense state-vector simulator.
+"""State-vector simulator with dense storage and support-tracked gates.
 
 Holds all 2^q complex amplitudes of a q-qubit register and applies gates
-from the closed set {H, X, SWAP, multi-controlled X}.  Basis convention:
-basis index b encodes qubit k as bit k of b (qubit 0 is the least
-significant bit).  Every gate except H is a permutation of the amplitude
-array, so circuits built purely from X/SWAP/MCX are bit-exact and their
-inverses cancel with zero rounding error.
+from the closed set {H, X, SWAP, multi-controlled X} only to the basis
+states that carry amplitude.  Basis convention: basis index b encodes
+qubit k as bit k of b (qubit 0 is the least significant bit).  Every gate
+except H is a permutation of the amplitudes, so circuits built purely
+from X/SWAP/MCX are bit-exact and their inverses cancel exactly.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Mapping
+from itertools import groupby
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -40,11 +40,6 @@ class MeasurementOutcome:
     bits: str
     value: int
     probability: float
-
-
-@lru_cache(maxsize=4)
-def _basis_indices(dim: int) -> np.ndarray:
-    return np.arange(dim, dtype=np.int64)
 
 
 class StateVector:
@@ -94,62 +89,76 @@ class StateVector:
     # -- gate application --------------------------------------------------
 
     def apply_gate(self, gate: Gate) -> None:
-        for q in gate.qubits():
-            self._check_qubit(q)
-        self.gate_counts[gate.kind] += 1
-        if gate.kind == "H":
-            self._apply_h(gate.targets[0])
-        elif gate.kind == "X":
-            self._exchange(self._slices((), gate.targets[0], 0),
-                           self._slices((), gate.targets[0], 1))
-        elif gate.kind == "SWAP":
-            a, b = gate.targets
-            self._exchange(self._slices(((b, False),), a, 1),
-                           self._slices(((b, True),), a, 0))
-        else:  # MCX
-            self._exchange(self._slices(gate.controls, gate.targets[0], 0),
-                           self._slices(gate.controls, gate.targets[0], 1))
+        self.apply_gates((gate,))
 
-    def _slices(self, fixed: tuple[tuple[int, bool], ...],
-                target: int, target_bit: int) -> tuple:
-        # index into the amplitude array viewed as a (2,)*q tensor; axis
-        # q-1-k is qubit k, so all selections are basic (view) indexing
-        q = self.num_qubits
-        idx: list[object] = [slice(None)] * q
-        for qubit, positive in fixed:
-            idx[q - 1 - qubit] = 1 if positive else 0
-        idx[q - 1 - target] = target_bit
-        return tuple(idx)
+    def apply_gates(self, gates: Sequence[Gate]) -> None:
+        """Apply gates in order to the support (the non-zero amplitudes), which
+        is found once per call: callers may write ``amplitudes`` in between."""
+        for gate in gates:
+            for q in gate.qubits():
+                self._check_qubit(q)
+        self.gate_counts.update(gate.kind for gate in gates)
+        support = np.flatnonzero(self.amplitudes != 0)
+        for is_h, run in groupby(gates, key=lambda g: g.kind == "H"):
+            if not is_h:
+                support = self._permute(support, run)
+                continue
+            for gate in run:
+                support = self._hadamard(support, 1 << gate.targets[0])
 
-    def _apply_h(self, target: int) -> None:
-        view = self.amplitudes.reshape((2,) * self.num_qubits)
-        i0 = self._slices((), target, 0)
-        i1 = self._slices((), target, 1)
-        lo = view[i0].copy()
-        view[i0] = (lo + view[i1]) * _SQRT1_2
-        view[i1] = (lo - view[i1]) * _SQRT1_2
+    def _permute(self, support: np.ndarray, gates: Iterable[Gate]) -> np.ndarray:
+        # X/SWAP/MCX rewrite the support's basis labels with bit operations;
+        # the amplitudes then move in one scatter, so they stay bit-exact
+        labels = support.copy()
+        for gate in gates:
+            t = gate.targets[0]
+            if gate.kind == "X":
+                labels ^= 1 << t
+            elif gate.kind == "SWAP":  # flip both bits where they differ
+                both = (1 << t) | (1 << gate.targets[1])
+                pair = labels & both
+                np.bitwise_xor(labels, both, out=labels,
+                               where=(pair != 0) & (pair != both))
+            else:  # MCX: flip the target where every control holds
+                care = want = 0
+                for q, positive in gate.controls:
+                    care |= 1 << q
+                    want |= positive << q
+                np.bitwise_xor(labels, 1 << t, out=labels,
+                               where=(labels & care) == want)
+        # a permutation maps the support onto a set of the same size, so
+        # clearing the old positions first leaves every other entry zero
+        values = self.amplitudes[support]
+        self.amplitudes[support] = 0.0
+        self.amplitudes[labels] = values
+        return labels
 
-    def _exchange(self, i0: tuple, i1: tuple) -> None:
-        # swap two disjoint blocks of the amplitude tensor; amplitudes
-        # only move, so X/SWAP/MCX are bit-exact
-        view = self.amplitudes.reshape((2,) * self.num_qubits)
-        tmp = view[i0].copy()
-        view[i0] = view[i1]
-        view[i1] = tmp
+    def _hadamard(self, support: np.ndarray, bit: int) -> np.ndarray:
+        # each (lo, lo|bit) pair meeting the support once: members without
+        # the bit, and the zero lo partners of members with it
+        amps = self.amplitudes
+        high = (support & bit) != 0
+        partners = support[high] ^ bit
+        lo = np.concatenate((support[~high], partners[amps[partners] == 0]))
+        hi = lo | bit
+        x0, x1 = amps[lo], amps[hi]
+        amps[lo] = (x0 + x1) * _SQRT1_2
+        amps[hi] = (x0 - x1) * _SQRT1_2
+        touched = np.concatenate((lo, hi))
+        return touched[amps[touched] != 0]
 
     # -- readout -----------------------------------------------------------
 
     def probability_of(self, assignment: Mapping[int, int]) -> float:
         """Total probability of all basis states matching a partial
         bit-assignment {qubit index: 0 or 1}."""
-        care = 0
-        want = 0
+        care = want = 0
         for q, bit in assignment.items():
             self._check_qubit(q)
             care |= 1 << q
             want |= (bit & 1) << q
-        idx = _basis_indices(self.dim)
-        sel = self.amplitudes[(idx & care) == want]
+        support = np.flatnonzero(self.amplitudes != 0)
+        sel = self.amplitudes[support[(support & care) == want]]
         return float(np.sum(sel.real * sel.real + sel.imag * sel.imag))
 
     def register_distribution(self, register: Iterable[int]) -> np.ndarray:
@@ -160,12 +169,14 @@ class StateVector:
             raise ValueError("register must name at least one qubit")
         for q in register:
             self._check_qubit(q)
-        a = self.amplitudes
+        # in ascending order the bincount adds the same non-zero terms in
+        # the same order as a sweep over every basis state
+        support = np.flatnonzero(self.amplitudes != 0)
+        a = self.amplitudes[support]
         probs = a.real * a.real + a.imag * a.imag
-        idx = _basis_indices(self.dim)
-        values = np.zeros(self.dim, dtype=np.int64)
+        values = np.zeros(support.shape[0], dtype=np.int64)
         for pos, q in enumerate(register):
-            values |= ((idx >> q) & 1) << pos
+            values |= ((support >> q) & 1) << pos
         return np.bincount(values, weights=probs, minlength=1 << len(register))
 
     def measure_register(self, register: Iterable[int],

@@ -140,37 +140,20 @@ def hash_classical(message_blocks: Sequence[int], params: HashParams) -> Digest:
 
 
 def _emit_round(circuit: Circuit, hash_qubits: Sequence[int], round_index: int,
-                params: HashParams) -> None:
+                params: HashParams, service_qubits: Sequence[int] = ()) -> None:
+    # with service qubits, each chi AND is computed into a fresh scratch
+    # qubit, folded into h[i], then uncomputed; legal because the fold
+    # targets h[i], never the two operands
     m = params.digest_bits
     for i in range(m):
-        circuit.append(Gate.mcx(
-            [(hash_qubits[(i + 1) % m], not params.true_chi),
-             (hash_qubits[(i + 2) % m], True)],
-            hash_qubits[i]))
-    for i in range(m):
-        circuit.append(Gate.cnot(hash_qubits[(i + 3) % m], hash_qubits[i]))
-    emit_rotate_left(circuit, hash_qubits, 1)
-    rc = round_constant(round_index, m)
-    for i in range(m):
-        if (rc >> i) & 1:
-            circuit.append(Gate.x(hash_qubits[i]))
-
-
-def _emit_round_outofplace(circuit: Circuit, hash_qubits: Sequence[int],
-                           service_qubits: Sequence[int], round_index: int,
-                           params: HashParams) -> None:
-    # chi layer with one fresh service qubit per AND: compute the product
-    # into the scratch, fold it into h[i], then uncompute the scratch —
-    # legal because the fold targets h[i], never the two operands.
-    m = params.digest_bits
-    for i in range(m):
-        product = Gate.mcx(
-            [(hash_qubits[(i + 1) % m], not params.true_chi),
-             (hash_qubits[(i + 2) % m], True)],
-            service_qubits[i])
-        circuit.append(product)
-        circuit.append(Gate.cnot(service_qubits[i], hash_qubits[i]))
-        circuit.append(product)
+        operands = [(hash_qubits[(i + 1) % m], not params.true_chi),
+                    (hash_qubits[(i + 2) % m], True)]
+        if service_qubits:
+            product = Gate.mcx(operands, service_qubits[i])
+            circuit.extend([product, Gate.cnot(service_qubits[i], hash_qubits[i]),
+                            product])
+        else:
+            circuit.append(Gate.mcx(operands, hash_qubits[i]))
     for i in range(m):
         circuit.append(Gate.cnot(hash_qubits[(i + 3) % m], hash_qubits[i]))
     emit_rotate_left(circuit, hash_qubits, 1)
@@ -242,6 +225,6 @@ def build_hash_circuit_outofplace(layout: "RegisterLayout",
                          f"layout has {len(layout.service)}")
     circuit = Circuit(layout.total_qubits, label="hash-outofplace")
     _emit_absorbs(circuit, layout, header_blocks, params,
-                  lambda c, j: _emit_round_outofplace(
-                      c, layout.hash, layout.service, j, params))
+                  lambda c, j: _emit_round(c, layout.hash, j, params,
+                                           layout.service))
     return circuit

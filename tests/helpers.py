@@ -84,6 +84,70 @@ def random_circuit(num_qubits: int, num_gates: int,
     return circuit
 
 
+# -- gate-by-gate dense reference ---------------------------------------------
+#
+# Every gate sweeps all 2^q amplitudes, viewed as a (2,)*q tensor whose
+# axis q-1-k is qubit k, so all selections are basic (view) indexing.  The
+# package's support-tracked evaluator must match it bit for bit.
+
+_SQRT1_2 = 1.0 / np.sqrt(2.0)
+
+
+def _dense_slices(num_qubits: int, fixed, target: int, target_bit: int) -> tuple:
+    idx: list[object] = [slice(None)] * num_qubits
+    for qubit, positive in fixed:
+        idx[num_qubits - 1 - qubit] = 1 if positive else 0
+    idx[num_qubits - 1 - target] = target_bit
+    return tuple(idx)
+
+
+def dense_apply_gates(state: StateVector, gates) -> None:
+    """Drop-in reference for ``StateVector.apply_gates``."""
+    gates = list(gates)
+    for gate in gates:
+        for q in gate.qubits():
+            state._check_qubit(q)
+    state.gate_counts.update(gate.kind for gate in gates)
+    q = state.num_qubits
+    view = state.amplitudes.reshape((2,) * q)
+    for gate in gates:
+        if gate.kind == "H":
+            i0 = _dense_slices(q, (), gate.targets[0], 0)
+            i1 = _dense_slices(q, (), gate.targets[0], 1)
+            lo = view[i0].copy()
+            view[i0] = (lo + view[i1]) * _SQRT1_2
+            view[i1] = (lo - view[i1]) * _SQRT1_2
+            continue
+        if gate.kind == "SWAP":
+            # exchange the |a=1,b=0> and |a=0,b=1> blocks
+            a, b = gate.targets
+            i0 = _dense_slices(q, ((b, False),), a, 1)
+            i1 = _dense_slices(q, ((b, True),), a, 0)
+        else:  # X, MCX: exchange the target's halves where the controls hold
+            i0 = _dense_slices(q, gate.controls, gate.targets[0], 0)
+            i1 = _dense_slices(q, gate.controls, gate.targets[0], 1)
+        tmp = view[i0].copy()
+        view[i0] = view[i1]
+        view[i1] = tmp
+
+
+def dense_register_distribution(state: StateVector, register) -> np.ndarray:
+    """Drop-in reference for ``StateVector.register_distribution``: a
+    bincount over every basis index, zero-probability ones included."""
+    register = list(register)
+    if not register:
+        raise ValueError("register must name at least one qubit")
+    for q in register:
+        state._check_qubit(q)
+    a = state.amplitudes
+    probs = a.real * a.real + a.imag * a.imag
+    idx = np.arange(state.dim, dtype=np.int64)
+    values = np.zeros(state.dim, dtype=np.int64)
+    for pos, q in enumerate(register):
+        values |= ((idx >> q) & 1) << pos
+    return np.bincount(values, weights=probs, minlength=1 << len(register))
+
+
 def max_global_phase_deviation(a: np.ndarray, b: np.ndarray) -> float:
     """Elementwise deviation between two state vectors after removing a
     global phase (aligned on the largest amplitude of ``a``)."""

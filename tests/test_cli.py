@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qmine import HashParams, enumerate_solutions, load_chain
+from qmine.chain import Chain, save_chain
 from qmine.cli import (EXIT_EXHAUSTED, EXIT_INVALID_CHAIN, EXIT_OK, EXIT_USAGE,
                        estimate_resources, main, measured_gates_per_iteration)
 
@@ -119,6 +120,39 @@ class TestMineCommand:
         out = capsys.readouterr().out
         assert code == EXIT_OK
         assert "top 4 of 8" in out
+
+
+class TestMalformedInput:
+    """Bad input files exit 2 with a one-line message, never a traceback."""
+
+    def write_chain(self, tmp_path, edit):
+        chain_file = tmp_path / "chain.json"
+        save_chain(Chain(hash_params=HashParams(8, 2), nonce_bits=4), chain_file)
+        payload = json.loads(chain_file.read_text())
+        chain_file.write_text(json.dumps(edit(payload)))
+        return str(chain_file)
+
+    def assert_usage_error(self, capsys, argv, text):
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and text in err
+
+    def test_chain_without_blocks(self, tmp_path, capsys):
+        chain_file = self.write_chain(
+            tmp_path, lambda p: {k: v for k, v in p.items() if k != "blocks"})
+        self.assert_usage_error(capsys, ["chain", "validate", "--chain-file",
+                                         chain_file], "'blocks'")
+
+    def test_chain_that_is_a_list(self, tmp_path, capsys):
+        chain_file = self.write_chain(tmp_path, lambda p: [p])
+        self.assert_usage_error(capsys, ["chain", "show", "--chain-file",
+                                         chain_file], "JSON object")
+
+    def test_config_null_value(self, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"n": None}))
+        self.assert_usage_error(capsys, ["mine", "--config", str(config)],
+                                "invalid value for n")
 
 
 class TestSweepCommand:

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from qmine import (Gate, HashParams, MiningParams, RegisterLayout,
+from qmine import (Gate, HashParams, MiningParams, RegisterLayout, StateVector,
                    analytic_success_probability, apply_circuit, assignment_for,
                    build_diffusion, build_hash_circuit, build_oracle,
                    enumerate_solutions, grover_iteration, hash_classical,
                    invert, iteration_count, mine_quantum, new_zero_state,
                    prepare)
-from helpers import find_header_with_count, max_global_phase_deviation
+from helpers import (dense_apply_gates, dense_register_distribution,
+                     find_header_with_count, max_global_phase_deviation)
 
 HP82 = HashParams(8, 2)
 
@@ -385,3 +386,20 @@ class TestMineQuantum:
         result = mine_quantum(header, layout, mining, exact_readout=True)
         assert result.total_gates > 3 * 2 * 100  # two hash passes per iteration
         assert result.hashes_tried == 1
+
+    @pytest.mark.parametrize("exact", [True, False])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_dense_reference_run(self, monkeypatch, seed, exact):
+        # random headers of any solution count, including none; the dense
+        # gate-by-gate run is the reference for every field of the result
+        params = HashParams(8, 2)
+        rng = np.random.default_rng(seed)
+        header = [int(b) for b in rng.integers(0, params.mask + 1, size=4)]
+        layout = RegisterLayout.standard(4, 8)
+        mining = MiningParams(difficulty_zeros=int(rng.integers(3, 6)),
+                              hash_params=params, rng_seed=seed)
+        fast = mine_quantum(header, layout, mining, exact_readout=exact)
+        monkeypatch.setattr(StateVector, "apply_gates", dense_apply_gates)
+        monkeypatch.setattr(StateVector, "register_distribution",
+                            dense_register_distribution)
+        assert mine_quantum(header, layout, mining, exact_readout=exact) == fast

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qmine import CapacityError, Gate, assignment_for, new_zero_state
-from helpers import random_amplitudes, random_circuit, set_register
+from helpers import (dense_apply_gates, dense_register_distribution,
+                     random_amplitudes, random_circuit, set_register)
 
 SQ = 1 / np.sqrt(2)
 
@@ -66,6 +67,13 @@ class TestApplyGate:
         s = new_zero_state(2)
         with pytest.raises(IndexError):
             s.apply_gate(Gate.x(2))
+
+    def test_batch_validated_before_any_gate(self):
+        s = new_zero_state(2)
+        with pytest.raises(IndexError):
+            s.apply_gates([Gate.h(0), Gate.x(1), Gate.x(2)])
+        assert s.amplitudes[0] == 1.0 and not s.amplitudes[1:].any()
+        assert s.total_gates == 0
 
     def test_norm_preserved_per_gate(self):
         s = new_zero_state(4)
@@ -207,3 +215,36 @@ class TestInvariants:
         s.apply_gate(Gate.h(0))
         s.reset()
         assert s.amplitudes[0] == 1.0 and s.total_gates == 1
+
+
+def _start_state(num_qubits, start, rng):
+    s = new_zero_state(num_qubits)
+    if start == "basis":
+        s.amplitudes[:] = 0.0
+        s.amplitudes[int(rng.integers(s.dim))] = 1.0
+    elif start == "random":
+        s.amplitudes[:] = random_amplitudes(num_qubits, rng)
+    else:  # random amplitudes on a random part of the basis
+        s.amplitudes[:] = random_amplitudes(num_qubits, rng)
+        s.amplitudes[rng.random(s.dim) < 0.7] = 0.0
+    return s
+
+
+class TestDenseReference:
+    """The support-tracked evaluator against the gate-by-gate dense one."""
+
+    @pytest.mark.parametrize("start", ["basis", "random", "partial"])
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_circuit_bit_identical(self, seed, start):
+        rng = np.random.default_rng(seed)
+        q = int(rng.integers(2, 10))
+        circuit = random_circuit(q, int(rng.integers(1, 80)), rng)
+        fast = _start_state(q, start, np.random.default_rng(seed))
+        ref = _start_state(q, start, np.random.default_rng(seed))
+        fast.apply_gates(circuit.gates)
+        dense_apply_gates(ref, circuit.gates)
+        assert np.array_equal(fast.amplitudes, ref.amplitudes)
+        assert fast.gate_counts == ref.gate_counts
+        register = [int(x) for x in rng.permutation(q)[:int(rng.integers(1, q + 1))]]
+        assert np.array_equal(fast.register_distribution(register),
+                              dense_register_distribution(ref, register))
