@@ -193,30 +193,57 @@ def save_chain(chain: Chain, path: str | Path) -> None:
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
+def read_json_object(path: str | Path, what: str) -> dict:
+    """Parse a JSON file that must hold an object; any failure raises
+    ValueError."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except RecursionError:
+        raise ValueError(f"{what} {path} is nested too deeply") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} {path} must hold a JSON object")
+    return data
+
+
+def json_int(value) -> int:
+    """``value`` itself if it is a JSON integer; bools and floats raise."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def json_bool(value) -> bool:
+    """``value`` itself if it is a JSON boolean."""
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
 def load_chain(path: str | Path) -> Chain:
     """Read a chain file; any malformed content raises ValueError."""
-    payload = json.loads(Path(path).read_text())
-    if not isinstance(payload, dict):
-        raise ValueError(f"chain file {path} must hold a JSON object")
+    payload = read_json_object(path, "chain file")
     version = payload.get("version")
     if version != CHAIN_FORMAT_VERSION:
         raise ValueError(f"unsupported chain file version {version!r}")
     try:
         hp = HashParams(
-            digest_bits=payload["hash_params"]["digest_bits"],
-            rounds=payload["hash_params"]["rounds"],
-            true_chi=payload["hash_params"].get("true_chi", False),
+            digest_bits=json_int(payload["hash_params"]["digest_bits"]),
+            rounds=json_int(payload["hash_params"]["rounds"]),
+            true_chi=json_bool(payload["hash_params"].get("true_chi", False)),
         )
+        nonce_bits = json_int(payload["nonce_bits"])
         blocks = []
         for entry in payload["blocks"]:
             header = BlockHeader(
                 prev_digest=int(entry["prev_digest"], 16),
                 payload_digest=int(entry["payload_digest"], 16),
-                timestamp=int(entry["timestamp"]),
-                difficulty_zeros=int(entry["difficulty_zeros"]),
+                timestamp=json_int(entry["timestamp"]),
+                difficulty_zeros=json_int(entry["difficulty_zeros"]),
                 nonce=int(entry["nonce"], 16),
             )
             blocks.append(Block(header, Digest(int(entry["digest"], 16), hp.digest_bits)))
-        return Chain(hash_params=hp, nonce_bits=int(payload["nonce_bits"]), blocks=blocks)
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed chain file {path}: {exc!r}") from None
+    if not 1 <= nonce_bits <= hp.digest_bits:
+        raise ValueError(f"nonce_bits must be in 1..{hp.digest_bits}, got {nonce_bits}")
+    return Chain(hash_params=hp, nonce_bits=nonce_bits, blocks=blocks)

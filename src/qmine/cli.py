@@ -1,5 +1,6 @@
 """Command-line driver: mining runs, probability sweeps, chain tools,
-and the classical-vs-quantum resource estimator.
+and the classical-vs-quantum resource estimate.  It parses arguments,
+resolves flags over the config file and prints; the library does the work.
 
 Exit codes are fixed for scripting: 0 success, 1 invalid chain,
 2 usage/config error, 3 mining budget exhausted (or no solution).
@@ -10,21 +11,20 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .chain import (Block, BlockHeader, Chain, compute_required_zeros,
-                    load_chain, mine_classical, save_chain, serialize_header)
-from .circuit import format_circuit, invert
-from .miner import (MiningParams, MiningResult, RegisterLayout,
-                    analytic_success_probability, build_diffusion, build_oracle,
-                    enumerate_solutions, grover_iteration, iteration_count,
-                    mine_quantum, prepare)
+from .chain import (Block, BlockHeader, Chain, compute_required_zeros, json_bool,
+                    json_int, load_chain, mine_classical, read_json_object,
+                    save_chain, serialize_header)
+from .circuit import format_circuit
+from .miner import (MiningParams, MiningResult, RegisterLayout, SearchProblem,
+                    analytic_success_probability, enumerate_solutions,
+                    estimate_resources, iteration_count, mine_quantum, prepare)
 from .statevector import CapacityError, DEFAULT_QUBIT_CAP, new_zero_state
-from .toyhash import HashParams, build_hash_circuit
+from .toyhash import HashParams
 
 EXIT_OK = 0
 EXIT_INVALID_CHAIN = 1
@@ -36,60 +36,6 @@ SWEEP_CSV_HEADER = ["k", "simulated_p", "analytic_p", "abs_diff"]
 MINE_CSV_HEADER = ["miner", "nonce", "nonce_bits", "digest_hex", "success",
                    "grover_iterations", "success_probability", "total_gates",
                    "hashes_tried"]
-
-
-@dataclass(frozen=True)
-class ResourceEstimate:
-    classical_hashes: int
-    classical_seconds: float
-    classical_hours: float
-    classical_days: float
-    quantum_iterations: int
-    quantum_gate_count: int
-    quantum_seconds: float
-    assumptions: dict
-
-
-def estimate_resources(nonce_bits: int, hash_rate: float, gate_time: float,
-                       gates_per_iteration: int) -> ResourceEstimate:
-    """Project wall-clock costs of exhausting a nonce space classically
-    versus amplitude amplification, under explicit throughput assumptions."""
-    if hash_rate <= 0 or gate_time <= 0 or gates_per_iteration <= 0:
-        raise ValueError("rates and gate counts must be positive")
-    classical_hashes = 1 << nonce_bits
-    classical_seconds = classical_hashes / hash_rate
-    quantum_iterations = iteration_count(nonce_bits, 1)
-    quantum_gate_count = quantum_iterations * gates_per_iteration
-    return ResourceEstimate(
-        classical_hashes=classical_hashes,
-        classical_seconds=classical_seconds,
-        classical_hours=classical_seconds / 3600.0,
-        classical_days=classical_seconds / 86400.0,
-        quantum_iterations=quantum_iterations,
-        quantum_gate_count=quantum_gate_count,
-        quantum_seconds=quantum_gate_count * gate_time,
-        assumptions={
-            "hash_rate": hash_rate,
-            "gate_time": gate_time,
-            "gates_per_iteration": gates_per_iteration,
-        },
-    )
-
-
-def measured_gates_per_iteration(nonce_bits: int, params: HashParams,
-                                 zeros: int,
-                                 header_blocks: Sequence[int] | None = None) -> int:
-    """Count the gates one search iteration actually applies, by running
-    it once at desk scale (two hash passes, oracle, diffusion)."""
-    layout = RegisterLayout.standard(nonce_bits, params.digest_bits)
-    blocks = list(header_blocks) if header_blocks is not None else [0, 0, 0, 0]
-    state = new_zero_state(layout.total_qubits)
-    prepare(state, layout)
-    hash_circuit = build_hash_circuit(layout, blocks, params)
-    before = state.total_gates
-    grover_iteration(state, layout, hash_circuit, build_oracle(layout, zeros),
-                     build_diffusion(layout), hash_inverse=invert(hash_circuit))
-    return state.total_gates - before
 
 
 # -- config handling ---------------------------------------------------------
@@ -119,21 +65,13 @@ class RunConfig:
         return HashParams(self.m, self.rounds, self.true_chi)
 
 
-def _load_config_file(path: str | None) -> dict:
-    if not path:
-        return {}
-    data = json.loads(Path(path).read_text())
-    if not isinstance(data, dict):
-        raise ValueError("config file must hold a JSON object")
-    return data
-
-
 class _Resolver:
     """Flags override config-file values, which override defaults."""
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
-        self.file = _load_config_file(getattr(args, "config", None))
+        path = getattr(args, "config", None)
+        self.file = read_json_object(path, "config file") if path else {}
 
     def get(self, key: str, default, convert=lambda value: value):
         value = getattr(self.args, key, None)
@@ -146,33 +84,51 @@ class _Resolver:
 
 
 def _int_or_auto(value):
-    return value if value == "auto" else int(value)
+    return value if value == "auto" else json_int(value)
+
+
+def _number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _hex(value) -> int:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a hex string, got {value!r}")
+    return int(value, 16)
+
+
+def _optional_str(value) -> str | None:
+    if value is not None and not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
 
 
 def _resolve_run_config(args: argparse.Namespace) -> RunConfig:
     r = _Resolver(args)
-    n = r.get("n", 4, int)
-    m = r.get("m", 8, int)
+    n = r.get("n", 4, json_int)
+    m = r.get("m", 8, json_int)
     zeros = r.get("zeros", "auto", _int_or_auto)
     if getattr(args, "auto_zeros", False) or zeros == "auto":
         zeros = compute_required_zeros(n, m)
     cfg = RunConfig(
         n=n,
         m=m,
-        rounds=r.get("rounds", 2, int),
+        rounds=r.get("rounds", 2, json_int),
         zeros=zeros,
-        true_chi=bool(r.get("true_chi", False)),
-        prev=r.get("prev", "0", lambda v: int(str(v), 16)),
-        payload=r.get("payload", "0", lambda v: int(str(v), 16)),
-        timestamp=r.get("timestamp", 0, int),
-        seed=r.get("seed", 0, int),
+        true_chi=r.get("true_chi", False, json_bool),
+        prev=r.get("prev", "0", _hex),
+        payload=r.get("payload", "0", _hex),
+        timestamp=r.get("timestamp", 0, json_int),
+        seed=r.get("seed", 0, json_int),
         mode=str(r.get("mode", "both")),
-        exact=bool(r.get("exact", False)),
-        max_grover_rounds=r.get("max_grover_rounds", 3, int),
-        hint=r.get("hint", 0, int) or None,
-        chain_file=r.get("chain_file", None),
-        csv_out=r.get("csv_out", None),
-        dump_circuits=r.get("dump_circuits", None),
+        exact=r.get("exact", False, json_bool),
+        max_grover_rounds=r.get("max_grover_rounds", 3, json_int),
+        hint=r.get("hint", 0, json_int) or None,
+        chain_file=r.get("chain_file", None, _optional_str),
+        csv_out=r.get("csv_out", None, _optional_str),
+        dump_circuits=r.get("dump_circuits", None, _optional_str),
     )
     if cfg.n < 1:
         raise ValueError("n must be >= 1")
@@ -195,9 +151,11 @@ def _fmt(x: float) -> str:
     return format(x, ".12g")
 
 
-def _dump_circuits(path: str, sections: list[tuple[str, object]]) -> None:
+def _dump_circuits(path: str, problem: SearchProblem) -> None:
     parts = []
-    for label, circuit in sections:
+    for label, circuit in (("hash", problem.hash_circuit),
+                           ("oracle", problem.oracle),
+                           ("diffusion", problem.diffusion)):
         parts.append(f"# {label}")
         parts.append(format_circuit(circuit))
         parts.append("")
@@ -250,11 +208,8 @@ def cmd_mine(cfg: RunConfig) -> int:
     if cfg.mode in ("quantum", "both"):
         layout = RegisterLayout.standard(cfg.n, cfg.m)
         if cfg.dump_circuits:
-            hash_circuit = build_hash_circuit(layout, blocks, hp)
             _dump_circuits(cfg.dump_circuits,
-                           [("hash", hash_circuit),
-                            ("oracle", build_oracle(layout, cfg.zeros)),
-                            ("diffusion", build_diffusion(layout))])
+                           SearchProblem.build(blocks, layout, hp, cfg.zeros))
         results["quantum"] = mine_quantum(blocks, layout, params,
                                           exact_readout=cfg.exact)
 
@@ -322,21 +277,13 @@ def cmd_sweep(cfg: RunConfig, k_max: int | None) -> int:
     layout = RegisterLayout.standard(cfg.n, cfg.m)
     state = new_zero_state(layout.total_qubits)
     prepare(state, layout)
-    hash_circuit = build_hash_circuit(layout, blocks, hp)
-    hash_inverse = invert(hash_circuit)
-    oracle = build_oracle(layout, cfg.zeros)
-    diffusion = build_diffusion(layout)
+    problem = SearchProblem.build(blocks, layout, hp, cfg.zeros)
     if cfg.dump_circuits:
-        _dump_circuits(cfg.dump_circuits, [("hash", hash_circuit),
-                                           ("oracle", oracle),
-                                           ("diffusion", diffusion)])
+        _dump_circuits(cfg.dump_circuits, problem)
 
     rows = []
     for k in range(k_max + 1):
-        if k > 0:
-            grover_iteration(state, layout, hash_circuit, oracle, diffusion,
-                             hash_inverse=hash_inverse)
-        dist = state.register_distribution(layout.nonce)
+        dist = problem.run(state, 1 if k else 0)
         simulated = float(dist[solutions].sum())
         analytic = analytic_success_probability(cfg.n, count, k)
         rows.append([k, _fmt(simulated), _fmt(analytic),
@@ -349,19 +296,21 @@ def cmd_sweep(cfg: RunConfig, k_max: int | None) -> int:
 
 def cmd_estimate(args: argparse.Namespace) -> int:
     r = _Resolver(args)
-    nonce_bits = r.get("n", 48, int)
-    hash_rate = r.get("hash_rate", 7e6, float)
-    gate_time = r.get("gate_time", 1e-9, float)
-    gates_per_iteration = r.get("gates_per_iteration", 1, int)
+    nonce_bits = r.get("n", 48, json_int)
+    hash_rate = r.get("hash_rate", 7e6, _number)
+    gate_time = r.get("gate_time", 1e-9, _number)
+    gates_per_iteration = r.get("gates_per_iteration", 1, json_int)
     source = "assumed"
-    if bool(r.get("measured", False)):
-        desk_n = r.get("measure_n", 4, int)
-        hp = HashParams(r.get("m", 8, int), r.get("rounds", 2, int),
-                        bool(r.get("true_chi", False)))
+    if r.get("measured", False, json_bool):
+        desk_n = r.get("measure_n", 4, json_int)
+        hp = HashParams(r.get("m", 8, json_int), r.get("rounds", 2, json_int),
+                        r.get("true_chi", False, json_bool))
         zeros = r.get("zeros", "auto", _int_or_auto)
         if zeros == "auto":
             zeros = compute_required_zeros(desk_n, hp.digest_bits)
-        gates_per_iteration = measured_gates_per_iteration(desk_n, hp, zeros)
+        layout = RegisterLayout.standard(desk_n, hp.digest_bits)
+        gates_per_iteration = SearchProblem.build(
+            [0, 0, 0, 0], layout, hp, zeros).gates_per_iteration
         source = (f"measured at n={desk_n} m={hp.digest_bits} "
                   f"rounds={hp.rounds} zeros={zeros}")
 
@@ -468,7 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
                        dest="gates_per_iteration",
                        help="gates charged per search iteration (default 1)")
     p_est.add_argument("--measured", action=argparse.BooleanOptionalAction,
-                       help="measure gates per iteration from a desk-scale run")
+                       help="count gates per iteration from the circuits "
+                            "built for a desk-scale search (no simulation)")
     p_est.add_argument("--measure-n", type=int, dest="measure_n",
                        help="desk-scale nonce bits for --measured (default 4)")
     p_est.add_argument("--m", type=int, help="desk-scale digest bits for --measured")

@@ -185,6 +185,39 @@ def grover_iteration(state: StateVector, layout: RegisterLayout,
     apply_circuit(state, diffusion)
 
 
+@dataclass(frozen=True)
+class SearchProblem:
+    """The circuits of one search iteration for one header, built once
+    and shared by every run of that search."""
+
+    layout: RegisterLayout
+    hash_circuit: Circuit
+    hash_inverse: Circuit
+    oracle: Circuit
+    diffusion: Circuit
+
+    @staticmethod
+    def build(header_blocks: Sequence[int], layout: RegisterLayout,
+              hash_params: HashParams, zeros: int) -> "SearchProblem":
+        hash_circuit = build_hash_circuit(layout, header_blocks, hash_params)
+        return SearchProblem(layout, hash_circuit, invert(hash_circuit),
+                             build_oracle(layout, zeros), build_diffusion(layout))
+
+    @property
+    def gates_per_iteration(self) -> int:
+        """Gates one iteration applies, counted from the circuits alone."""
+        return (len(self.hash_circuit) + len(self.oracle)
+                + len(self.hash_inverse) + len(self.diffusion))
+
+    def run(self, state: StateVector, iterations: int) -> np.ndarray:
+        """Apply ``iterations`` more search iterations to ``state`` and
+        return the distribution of the nonce register."""
+        for _ in range(iterations):
+            grover_iteration(state, self.layout, self.hash_circuit, self.oracle,
+                             self.diffusion, hash_inverse=self.hash_inverse)
+        return state.register_distribution(self.layout.nonce)
+
+
 # -- schedules and analysis ------------------------------------------------------
 
 
@@ -215,6 +248,44 @@ def analytic_success_probability(nonce_bits: int, solution_count: int,
     return math.sin((2 * iterations + 1) * theta) ** 2
 
 
+@dataclass(frozen=True)
+class ResourceEstimate:
+    classical_hashes: int
+    classical_seconds: float
+    classical_hours: float
+    classical_days: float
+    quantum_iterations: int
+    quantum_gate_count: int
+    quantum_seconds: float
+    assumptions: dict
+
+
+def estimate_resources(nonce_bits: int, hash_rate: float, gate_time: float,
+                       gates_per_iteration: int) -> ResourceEstimate:
+    """Project wall-clock costs of exhausting a nonce space classically
+    versus amplitude amplification, under explicit throughput assumptions."""
+    if hash_rate <= 0 or gate_time <= 0 or gates_per_iteration <= 0:
+        raise ValueError("rates and gate counts must be positive")
+    classical_hashes = 1 << nonce_bits
+    classical_seconds = classical_hashes / hash_rate
+    quantum_iterations = iteration_count(nonce_bits, 1)
+    quantum_gate_count = quantum_iterations * gates_per_iteration
+    return ResourceEstimate(
+        classical_hashes=classical_hashes,
+        classical_seconds=classical_seconds,
+        classical_hours=classical_seconds / 3600.0,
+        classical_days=classical_seconds / 86400.0,
+        quantum_iterations=quantum_iterations,
+        quantum_gate_count=quantum_gate_count,
+        quantum_seconds=quantum_gate_count * gate_time,
+        assumptions={
+            "hash_rate": hash_rate,
+            "gate_time": gate_time,
+            "gates_per_iteration": gates_per_iteration,
+        },
+    )
+
+
 def enumerate_solutions(header_blocks: Sequence[int], hash_params: HashParams,
                         nonce_bits: int, zeros: int) -> list[int]:
     """All nonce values whose digest clears the difficulty, by classical
@@ -228,8 +299,7 @@ def enumerate_solutions(header_blocks: Sequence[int], hash_params: HashParams,
 
 
 def mine_quantum(header_blocks: Sequence[int], layout: RegisterLayout,
-                 params: MiningParams, *, exact_readout: bool = False,
-                 qubit_cap: int | None = None) -> MiningResult:
+                 params: MiningParams, *, exact_readout: bool = False) -> MiningResult:
     """Run the full search and return a classically verified result.
 
     With a solution-count hint the optimal iteration count is used
@@ -245,23 +315,15 @@ def mine_quantum(header_blocks: Sequence[int], layout: RegisterLayout,
     n = len(layout.nonce)
     hp = params.hash_params
     zeros = params.difficulty_zeros
-    kwargs = {"cap": qubit_cap} if qubit_cap is not None else {}
-    state = new_zero_state(layout.total_qubits, **kwargs)
-
-    hash_circuit = build_hash_circuit(layout, header_blocks, hp)
-    hash_inverse = invert(hash_circuit)
-    oracle = build_oracle(layout, zeros)
-    diffusion = build_diffusion(layout)
+    state = new_zero_state(layout.total_qubits)
+    problem = SearchProblem.build(header_blocks, layout, hp, zeros)
     rng = np.random.default_rng(params.rng_seed)
     solutions = enumerate_solutions(header_blocks, hp, n, zeros)
 
     def run_round(num_iterations: int) -> tuple[int, float, Digest, bool]:
         state.reset()
         prepare(state, layout)
-        for _ in range(num_iterations):
-            grover_iteration(state, layout, hash_circuit, oracle, diffusion,
-                             hash_inverse=hash_inverse)
-        dist = state.register_distribution(layout.nonce)
+        dist = problem.run(state, num_iterations)
         solution_mass = float(dist[solutions].sum()) if solutions else 0.0
         if exact_readout:
             value = int(np.argmax(dist))

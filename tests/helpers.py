@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from qmine import Circuit, Gate, StateVector, enumerate_solutions, new_zero_state
+from qmine import (Circuit, Gate, RegisterLayout, StateVector, build_diffusion,
+                   build_hash_circuit, build_oracle, enumerate_solutions,
+                   grover_iteration, new_zero_state, prepare)
 from qmine.toyhash import GOLDEN_RATIO_32, HashParams
 
 
@@ -46,6 +48,21 @@ def find_header_with_count(nonce_bits: int, params: HashParams, zeros: int,
             return header, solutions
     raise AssertionError(f"no header with exactly {count} solution(s) found "
                          f"(n={nonce_bits}, zeros={zeros})")
+
+
+def simulated_gates_per_iteration(nonce_bits: int, params: HashParams, zeros: int,
+                                  header_blocks=(0, 0, 0, 0)) -> int:
+    """Gates one search iteration applies, counted by simulating it on a
+    prepared state (independent of ``SearchProblem.gates_per_iteration``,
+    which counts from circuit lengths)."""
+    layout = RegisterLayout.standard(nonce_bits, params.digest_bits)
+    state = new_zero_state(layout.total_qubits)
+    prepare(state, layout)
+    before = state.total_gates
+    grover_iteration(state, layout,
+                     build_hash_circuit(layout, list(header_blocks), params),
+                     build_oracle(layout, zeros), build_diffusion(layout))
+    return state.total_gates - before
 
 
 def set_register(state: StateVector, qubits, value: int) -> None:

@@ -1,3 +1,4 @@
+import copy
 import csv
 import json
 
@@ -5,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmine import HashParams, enumerate_solutions, load_chain
+from qmine import (Block, BlockHeader, HashParams, enumerate_solutions,
+                   estimate_resources, load_chain)
 from qmine.chain import Chain, save_chain
-from qmine.cli import (EXIT_EXHAUSTED, EXIT_INVALID_CHAIN, EXIT_OK, EXIT_USAGE,
-                       estimate_resources, main, measured_gates_per_iteration)
+from qmine.cli import EXIT_EXHAUSTED, EXIT_INVALID_CHAIN, EXIT_OK, EXIT_USAGE, main
+from helpers import simulated_gates_per_iteration
 
 
 def find_cli_header(n, m, rounds, zeros, count, prev=0):
@@ -22,6 +24,21 @@ def find_cli_header(n, m, rounds, zeros, count, prev=0):
             if len(solutions) == count:
                 return payload, ts, solutions
     raise AssertionError("no suitable header found")
+
+
+def valid_chain(length=2):
+    """A chain of ``length`` valid blocks (n=4, m=8, rounds=2, zeros=4)."""
+    params = HashParams(8, 2)
+    chain = Chain(hash_params=params, nonce_bits=4)
+    for ts in range(64):
+        blocks = [chain.tip_digest(), 0, ts, 4]
+        solutions = enumerate_solutions(blocks, params, 4, 4)
+        if solutions:
+            chain.append(Block.from_header(BlockHeader(*blocks, solutions[0]),
+                                           params))
+        if len(chain.blocks) == length:
+            return chain
+    raise AssertionError("no suitable headers found")
 
 
 BASE = ["--n", "4", "--m", "8", "--rounds", "2", "--zeros", "4", "--seed", "1"]
@@ -127,7 +144,7 @@ class TestMalformedInput:
 
     def write_chain(self, tmp_path, edit):
         chain_file = tmp_path / "chain.json"
-        save_chain(Chain(hash_params=HashParams(8, 2), nonce_bits=4), chain_file)
+        save_chain(valid_chain(), chain_file)
         payload = json.loads(chain_file.read_text())
         chain_file.write_text(json.dumps(edit(payload)))
         return str(chain_file)
@@ -153,6 +170,111 @@ class TestMalformedInput:
         config.write_text(json.dumps({"n": None}))
         self.assert_usage_error(capsys, ["mine", "--config", str(config)],
                                 "invalid value for n")
+
+    @pytest.mark.parametrize("edit, text", [
+        (lambda p: {**p, "hash_params": {**p["hash_params"], "rounds": 2.0}},
+         "expected an integer, got 2.0"),
+        (lambda p: {**p, "hash_params": {**p["hash_params"], "true_chi": "no"}},
+         "expected true or false, got 'no'"),
+        (lambda p: {**p, "nonce_bits": 10 ** 30}, "nonce_bits must be in 1..8"),
+        (lambda p: {**p, "blocks": [{**p["blocks"][0], "timestamp": "3"}]},
+         "expected an integer, got '3'"),
+    ], ids=["float-rounds", "string-true-chi", "huge-nonce-bits",
+            "string-timestamp"])
+    def test_mistyped_chain_value(self, tmp_path, capsys, edit, text):
+        chain_file = self.write_chain(tmp_path, edit)
+        self.assert_usage_error(capsys, ["chain", "validate", "--chain-file",
+                                         chain_file], text)
+
+    @pytest.mark.parametrize("command", ["chain", "mine"])
+    def test_deeply_nested_file(self, tmp_path, capsys, command):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        argv = (["chain", "show", "--chain-file", str(deep)] if command == "chain"
+                else ["mine", "--config", str(deep)])
+        self.assert_usage_error(capsys, argv, "nested too deeply")
+
+    @pytest.mark.parametrize("config, key", [
+        ({"exact": "false"}, "exact"),
+        ({"true_chi": "false"}, "true_chi"),
+        ({"n": 4.7}, "n"),
+        ({"n": True}, "n"),
+        ({"prev": 128}, "prev"),
+        ({"csv_out": 5}, "csv_out"),
+    ], ids=["string-exact", "string-true-chi", "float-n", "bool-n", "int-prev",
+            "int-csv-out"])
+    def test_mistyped_config_value(self, tmp_path, capsys, config, key):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"mode": "classical", **config}))
+        self.assert_usage_error(capsys, ["mine", "--config", str(path)],
+                                f"invalid value for {key}")
+
+
+# integral floats in range are the mistype most likely to slip through
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.integers(-1, 17).map(float) | st.text(max_size=6),
+    lambda children: (st.lists(children, max_size=3)
+                      | st.dictionaries(st.text(max_size=6), children, max_size=3)),
+    max_leaves=8)
+
+# solvable with exactly one nonce, so a fuzzed budget never runs long
+VALID_CONFIG = {"n": 4, "m": 8, "rounds": 2, "zeros": 4, "true_chi": False,
+                "prev": "0", "payload": "0", "timestamp": 2, "seed": 1,
+                "mode": "both", "exact": True, "max_grover_rounds": 3, "hint": 1}
+
+
+def json_paths(document, path=()):
+    """The path of every value below the root of a JSON document."""
+    if isinstance(document, dict):
+        children = document.items()
+    elif isinstance(document, list):
+        children = enumerate(document)
+    else:
+        return
+    for key, child in children:
+        yield path + (key,)
+        yield from json_paths(child, path + (key,))
+
+
+def replace_at(document, path, value):
+    document = copy.deepcopy(document)
+    target = document
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return document
+
+
+class TestInputFuzz:
+    """One value of a valid chain or config file replaced by arbitrary
+    JSON: every run ends with a documented exit code, never an exception."""
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz")
+
+    @pytest.fixture(scope="class")
+    def chain_document(self, workdir):
+        save_chain(valid_chain(), workdir / "valid.json")
+        return json.loads((workdir / "valid.json").read_text())
+
+    @given(data=st.data())
+    @settings(derandomize=True, deadline=None, max_examples=50)
+    def test_chain_file(self, workdir, chain_document, data):
+        path = data.draw(st.sampled_from(list(json_paths(chain_document))))
+        chain_file = workdir / "chain.json"
+        chain_file.write_text(json.dumps(
+            replace_at(chain_document, path, data.draw(JSON_VALUES))))
+        for command in ("validate", "show"):
+            assert main(["chain", command, "--chain-file", str(chain_file)]) in range(4)
+
+    @given(key=st.sampled_from(sorted(VALID_CONFIG)), value=JSON_VALUES)
+    @settings(derandomize=True, deadline=None, max_examples=50)
+    def test_config_file(self, workdir, key, value):
+        config = workdir / "run.json"
+        config.write_text(json.dumps({**VALID_CONFIG, key: value}))
+        assert main(["mine", "--config", str(config)]) in range(4)
 
 
 class TestSweepCommand:
@@ -234,9 +356,16 @@ class TestEstimateCommand:
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert "measured at n=4" in out
-        gpi = measured_gates_per_iteration(4, HashParams(8, 2), 5)
-        assert f"gates_per_iteration={gpi}" in out
+        gpi = simulated_gates_per_iteration(4, HashParams(8, 2), 5)
+        assert f"gates_per_iteration={gpi} (measured" in out
         assert gpi > 100
+
+    def test_measured_mode_beyond_the_qubit_cap(self, capsys):
+        # 16 + 16 + 1 = 33 qubits: counted from the circuits, never simulated
+        code = main(["estimate", "--measured", "--measure-n", "16", "--m", "16",
+                     "--zeros", "9"])
+        assert code == EXIT_OK
+        assert "gates_per_iteration=" in capsys.readouterr().out
 
     def test_estimate_invariants(self):
         est = estimate_resources(32, 5e6, 2e-9, 10)

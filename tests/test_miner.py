@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from qmine import (Gate, HashParams, MiningParams, RegisterLayout, StateVector,
-                   analytic_success_probability, apply_circuit, assignment_for,
+from qmine import (Gate, HashParams, MiningParams, RegisterLayout, SearchProblem,
+                   StateVector, analytic_success_probability, apply_circuit, assignment_for,
                    build_diffusion, build_hash_circuit, build_oracle,
                    enumerate_solutions, grover_iteration, hash_classical,
                    invert, iteration_count, mine_quantum, new_zero_state,
                    prepare)
 from helpers import (dense_apply_gates, dense_register_distribution,
-                     find_header_with_count, max_global_phase_deviation)
+                     find_header_with_count, max_global_phase_deviation,
+                     simulated_gates_per_iteration)
 
 HP82 = HashParams(8, 2)
 
@@ -322,6 +323,36 @@ class TestGroverLaw:
             # |-> factor: the functional=1 half mirrors the =0 half negated
             assert np.max(np.abs(state.amplitudes[half:]
                                  + state.amplitudes[:half])) < 1e-12
+
+
+class TestSearchProblem:
+    @pytest.mark.parametrize("n, m, rounds, zeros, true_chi, gates", [
+        (1, 4, 1, 4, False, 140),
+        (2, 4, 1, 0, False, 146),
+        (4, 8, 2, 5, False, 578),
+        (6, 10, 3, 7, True, 1080),
+        (8, 16, 4, 9, True, 2312),
+    ])
+    def test_gates_per_iteration_equals_simulated(self, n, m, rounds, zeros,
+                                                   true_chi, gates):
+        params = HashParams(m, rounds, true_chi)
+        problem = SearchProblem.build([0, 0, 0, 0], RegisterLayout.standard(n, m),
+                                      params, zeros)
+        assert problem.gates_per_iteration == gates
+        assert simulated_gates_per_iteration(n, params, zeros) == gates
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_gates_per_iteration_on_random_headers(self, seed):
+        # the absorbs add one X per set header bit, so the count varies
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(1, 6)), int(rng.integers(6, 11))
+        params = HashParams(m, int(rng.integers(1, 4)), bool(rng.integers(2)))
+        header = [int(b) for b in rng.integers(0, params.mask + 1, size=4)]
+        zeros = int(rng.integers(0, m + 1))
+        problem = SearchProblem.build(header, RegisterLayout.standard(n, m),
+                                      params, zeros)
+        assert problem.gates_per_iteration == simulated_gates_per_iteration(
+            n, params, zeros, header)
 
 
 class TestMineQuantum:
