@@ -39,6 +39,9 @@ class Gate:
         qubits = list(self.qubits())
         if len(set(qubits)) != len(qubits):
             raise ValueError(f"gate qubits must be distinct: {qubits}")
+        # bit q per qubit q, -1 if one is negative: mask >> width != 0 iff out of range
+        object.__setattr__(self, "mask", -1 if min(qubits) < 0
+                           else sum(map((1).__lshift__, qubits)))
 
     def qubits(self) -> Iterator[int]:
         yield from self.targets
@@ -83,10 +86,10 @@ class Circuit:
     label: str = ""
 
     def append(self, gate: Gate) -> None:
-        for q in gate.qubits():
-            if not 0 <= q < self.num_qubits:
-                raise IndexError(f"qubit {q} out of range for "
-                                 f"{self.num_qubits}-qubit circuit {self.label!r}")
+        if gate.mask >> self.num_qubits:
+            bad = next(q for q in gate.qubits() if not 0 <= q < self.num_qubits)
+            raise IndexError(f"qubit {bad} out of range for "
+                             f"{self.num_qubits}-qubit circuit {self.label!r}")
         self.gates.append(gate)
 
     def extend(self, gates: Iterable[Gate]) -> None:

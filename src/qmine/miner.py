@@ -25,6 +25,7 @@ from .statevector import StateVector, new_zero_state
 from .toyhash import Digest, HashParams, build_hash_circuit, hash_classical
 
 UNKNOWN_COUNT_GROWTH = 6 / 5  # per-round budget ratio when the solution count is unknown
+MAX_ESTIMATE_BITS = 1023  # the estimator's counts must convert to finite floats
 
 
 @dataclass(frozen=True)
@@ -264,12 +265,19 @@ def estimate_resources(nonce_bits: int, hash_rate: float, gate_time: float,
                        gates_per_iteration: int) -> ResourceEstimate:
     """Project wall-clock costs of exhausting a nonce space classically
     versus amplitude amplification, under explicit throughput assumptions."""
-    if hash_rate <= 0 or gate_time <= 0 or gates_per_iteration <= 0:
-        raise ValueError("rates and gate counts must be positive")
+    if not 0 <= nonce_bits <= MAX_ESTIMATE_BITS:
+        raise ValueError(f"nonce bits must be in 0..{MAX_ESTIMATE_BITS}, "
+                         f"got {nonce_bits}")
+    if not (0 < hash_rate < math.inf and 0 < gate_time < math.inf
+            and gates_per_iteration > 0):
+        raise ValueError("rates must be positive and finite, gate counts positive")
     classical_hashes = 1 << nonce_bits
     classical_seconds = classical_hashes / hash_rate
     quantum_iterations = iteration_count(nonce_bits, 1)
     quantum_gate_count = quantum_iterations * gates_per_iteration
+    if quantum_gate_count.bit_length() > MAX_ESTIMATE_BITS:
+        raise ValueError("gates per iteration too large: the projected gate "
+                         "count overflows a float")
     return ResourceEstimate(
         classical_hashes=classical_hashes,
         classical_seconds=classical_seconds,

@@ -42,6 +42,19 @@ class MeasurementOutcome:
     probability: float
 
 
+class _Rows(dict):
+    """Bit-sliced basis labels: bit j of row k is bit k of label j."""
+
+    def __init__(self, labels: np.ndarray):
+        super().__init__()
+        self.labels, self.read = labels, {}
+
+    def __missing__(self, k: int) -> int:
+        row = self[k] = self.read[k] = int.from_bytes(  # read on first use
+            np.packbits(self.labels & (1 << k), bitorder="little"), "little")
+        return row
+
+
 class StateVector:
     """Mutable amplitude array for ``num_qubits`` qubits.
 
@@ -94,9 +107,9 @@ class StateVector:
     def apply_gates(self, gates: Sequence[Gate]) -> None:
         """Apply gates in order to the support (the non-zero amplitudes), which
         is found once per call: callers may write ``amplitudes`` in between."""
-        for gate in gates:
-            for q in gate.qubits():
-                self._check_qubit(q)
+        if any(gate.mask >> self.num_qubits for gate in gates):
+            for q in (q for gate in gates for q in gate.qubits()):
+                self._check_qubit(q)  # names the first qubit out of range
         self.gate_counts.update(gate.kind for gate in gates)
         support = np.flatnonzero(self.amplitudes != 0)
         for is_h, run in groupby(gates, key=lambda g: g.kind == "H"):
@@ -107,25 +120,29 @@ class StateVector:
                 support = self._hadamard(support, 1 << gate.targets[0])
 
     def _permute(self, support: np.ndarray, gates: Iterable[Gate]) -> np.ndarray:
-        # X/SWAP/MCX rewrite the support's basis labels with bit operations;
-        # the amplitudes then move in one scatter, so they stay bit-exact
-        labels = support.copy()
+        # each row operation acts on every label at once; X only toggles
+        # bit k of ``flips``, the pending complement of row k
+        ones, rows, flips = (1 << len(support)) - 1, _Rows(support), 0
         for gate in gates:
             t = gate.targets[0]
             if gate.kind == "X":
-                labels ^= 1 << t
-            elif gate.kind == "SWAP":  # flip both bits where they differ
-                both = (1 << t) | (1 << gate.targets[1])
-                pair = labels & both
-                np.bitwise_xor(labels, both, out=labels,
-                               where=(pair != 0) & (pair != both))
+                flips ^= 1 << t
+            elif gate.kind == "SWAP":
+                u = gate.targets[1]
+                rows[t], rows[u] = rows[u], rows[t]
+                flips ^= ((flips >> t ^ flips >> u) & 1) * (1 << t | 1 << u)
             else:  # MCX: flip the target where every control holds
-                care = want = 0
+                fire = ones
                 for q, positive in gate.controls:
-                    care |= 1 << q
-                    want |= positive << q
-                np.bitwise_xor(labels, 1 << t, out=labels,
-                               where=(labels & care) == want)
+                    fire &= rows[q] if positive ^ (flips >> q & 1) else ~rows[q]
+                rows[t] ^= fire
+        labels = support ^ flips
+        for k, row in rows.items():
+            if row != rows.read[k]:
+                diff = (row ^ rows.read[k]).to_bytes(-(-len(support) // 8), "little")
+                bits = np.unpackbits(np.frombuffer(diff, np.uint8),
+                                     count=len(support), bitorder="little")
+                np.bitwise_xor(labels, 1 << k, out=labels, where=bits.view(bool))
         # a permutation maps the support onto a set of the same size, so
         # clearing the old positions first leaves every other entry zero
         values = self.amplitudes[support]

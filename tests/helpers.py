@@ -82,11 +82,12 @@ def random_amplitudes(num_qubits: int, rng: np.random.Generator) -> np.ndarray:
     return amps / np.linalg.norm(amps)
 
 
-def random_circuit(num_qubits: int, num_gates: int,
-                   rng: np.random.Generator) -> Circuit:
+def random_circuit(num_qubits: int, num_gates: int, rng: np.random.Generator,
+                   kinds=("H", "X", "SWAP", "MCX")) -> Circuit:
+    """Random gates of the given kinds; MCX controls have random polarity."""
     circuit = Circuit(num_qubits, label="random")
     for _ in range(num_gates):
-        kind = rng.choice(["H", "X", "SWAP", "MCX"])
+        kind = rng.choice(list(kinds))
         if kind in ("H", "X"):
             q = int(rng.integers(num_qubits))
             circuit.append(Gate.h(q) if kind == "H" else Gate.x(q))

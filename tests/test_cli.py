@@ -1,6 +1,9 @@
 import copy
 import csv
 import json
+import runpy
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -209,6 +212,18 @@ class TestMalformedInput:
         self.assert_usage_error(capsys, ["mine", "--config", str(path)],
                                 f"invalid value for {key}")
 
+    @pytest.mark.parametrize("flags, text", [
+        (["--n", "1024"], "nonce bits must be in 0..1023, got 1024"),
+        (["--n", "10000000000"], "got 10000000000"),  # checked before 2^n is built
+        (["--n", "1023", "--gates-per-iteration", str(10 ** 200)],
+         "overflows a float"),
+        (["--hash-rate", "nan"], "positive and finite"),
+        (["--gate-time", "inf"], "positive and finite"),
+    ], ids=["n-1024", "n-ten-billion", "huge-gates-per-iteration", "nan-hash-rate",
+            "infinite-gate-time"])
+    def test_estimate_out_of_float_range(self, capsys, flags, text):
+        self.assert_usage_error(capsys, ["estimate", *flags], text)
+
 
 # integral floats in range are the mistype most likely to slip through
 JSON_VALUES = st.recursive(
@@ -333,6 +348,17 @@ class TestSweepCommand:
         rows = out_file.read_text().splitlines()
         assert rows[0] == "k,simulated_p,analytic_p,abs_diff"
         assert len(rows) == 5  # header + k=0..3
+
+
+def test_python_m_qmine_runs_the_cli_without_warnings(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["qmine", "estimate", "--n", "16"])
+    monkeypatch.delitem(sys.modules, "qmine.__main__", raising=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SystemExit) as exit_info:
+            runpy.run_module("qmine", run_name="__main__", alter_sys=True)
+    assert exit_info.value.code == EXIT_OK
+    assert "nonce space: 2^16" in capsys.readouterr().out
 
 
 class TestEstimateCommand:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmine import CapacityError, Gate, assignment_for, new_zero_state
+from qmine import (CapacityError, Circuit, Gate, HashParams, RegisterLayout,
+                   SearchProblem, assignment_for, new_zero_state, prepare)
 from helpers import (dense_apply_gates, dense_register_distribution,
                      random_amplitudes, random_circuit, set_register)
 
@@ -74,6 +75,19 @@ class TestApplyGate:
             s.apply_gates([Gate.h(0), Gate.x(1), Gate.x(2)])
         assert s.amplitudes[0] == 1.0 and not s.amplitudes[1:].any()
         assert s.total_gates == 0
+
+    def test_negative_qubit_rejected_before_any_gate(self):
+        s = new_zero_state(2)
+        with pytest.raises(IndexError, match="qubit -1"):
+            s.apply_gates([Gate.h(0), Gate.x(1), Gate.x(-1)])
+        assert s.amplitudes[0] == 1.0 and not s.amplitudes[1:].any()
+        assert s.total_gates == 0
+
+    def test_circuit_append_rejects_negative_qubit(self):
+        c = Circuit(2)
+        with pytest.raises(IndexError, match="qubit -1"):
+            c.append(Gate.cnot(0, -1))
+        assert len(c) == 0
 
     def test_norm_preserved_per_gate(self):
         s = new_zero_state(4)
@@ -230,8 +244,68 @@ def _start_state(num_qubits, start, rng):
     return s
 
 
+def _state_on_support(num_qubits, size, rng):
+    """Random amplitudes on ``size`` distinct random basis states."""
+    s = new_zero_state(num_qubits)
+    s.amplitudes[:] = 0.0
+    picks = rng.choice(s.dim, size=size, replace=False)
+    s.amplitudes[picks] = rng.normal(size=size) + 1j * rng.normal(size=size)
+    return s
+
+
+PERMUTATION_KINDS = ("X", "SWAP", "MCX")
+
+
 class TestDenseReference:
     """The support-tracked evaluator against the gate-by-gate dense one."""
+
+    def assert_same_run(self, fast, ref, gates):
+        fast.apply_gates(gates)
+        dense_apply_gates(ref, gates)
+        assert np.array_equal(fast.amplitudes, ref.amplitudes)
+        assert fast.gate_counts == ref.gate_counts
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("q", [2, 3, 8, 9, 13, 14])
+    def test_permutation_circuit_bit_identical(self, q, seed):
+        # one long bit-sliced run; the first gates act on the highest qubit
+        rng = np.random.default_rng(100 * q + seed)
+        top = q - 1
+        gates = [Gate.x(top), Gate.swap(0, top), Gate.mcx([(0, False)], top)]
+        gates += random_circuit(q, int(rng.integers(200, 801)), rng,
+                                PERMUTATION_KINDS).gates
+        fast = _start_state(q, "partial", np.random.default_rng(seed))
+        ref = _start_state(q, "partial", np.random.default_rng(seed))
+        self.assert_same_run(fast, ref, gates)
+
+    @pytest.mark.parametrize("size", [1, 7, 8, 9, 63, 64, 65, 1 << 10])
+    def test_support_sizes_bit_identical(self, size):
+        # row widths either side of the byte and 64-bit word boundaries,
+        # up to the full 2^q
+        q = 10
+        rng = np.random.default_rng(size)
+        gates = random_circuit(q, 300, rng, PERMUTATION_KINDS).gates
+        fast = _state_on_support(q, size, np.random.default_rng(size))
+        ref = _state_on_support(q, size, np.random.default_rng(size))
+        self.assert_same_run(fast, ref, gates)
+
+    @pytest.mark.parametrize("start", ["prepared", "partial"])
+    def test_search_problem_hash_and_inverse(self, start):
+        layout = RegisterLayout.standard(4, 12)
+        problem = SearchProblem.build([0x5A3, 0x0F1, 0xC2E, 0x777], layout,
+                                      HashParams(12, 2), 4)
+
+        def start_state():
+            if start == "partial":
+                return _start_state(layout.total_qubits, start,
+                                    np.random.default_rng(3))
+            s = new_zero_state(layout.total_qubits)
+            prepare(s, layout)
+            return s
+
+        fast, ref = start_state(), start_state()
+        for circuit in (problem.hash_circuit, problem.hash_inverse):
+            self.assert_same_run(fast, ref, circuit.gates)
 
     @pytest.mark.parametrize("start", ["basis", "random", "partial"])
     @pytest.mark.parametrize("seed", range(40))
