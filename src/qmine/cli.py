@@ -22,8 +22,7 @@ from .chain import (Block, BlockHeader, Chain, compute_required_zeros, json_bool
 from .circuit import format_circuit
 from .miner import (MiningParams, MiningResult, RegisterLayout, SearchProblem,
                     analytic_success_probability, enumerate_solutions,
-                    estimate_resources, iteration_count, mine_quantum, prepare)
-from .statevector import CapacityError, DEFAULT_QUBIT_CAP, new_zero_state
+                    estimate_resources, iteration_count, mine_quantum)
 from .toyhash import HashParams
 
 EXIT_OK = 0
@@ -136,11 +135,6 @@ def _resolve_run_config(args: argparse.Namespace) -> RunConfig:
         raise ValueError(f"nonce bits ({cfg.n}) must not exceed hash bits ({cfg.m})")
     if cfg.mode not in ("classical", "quantum", "both"):
         raise ValueError(f"mode must be classical, quantum or both, got {cfg.mode!r}")
-    if cfg.mode != "classical":
-        total = cfg.n + cfg.m + 1
-        if total > DEFAULT_QUBIT_CAP:
-            raise CapacityError(
-                f"quantum run needs {total} qubits, cap is {DEFAULT_QUBIT_CAP}")
     return cfg
 
 
@@ -274,16 +268,15 @@ def cmd_sweep(cfg: RunConfig, k_max: int | None) -> int:
     if k_max is None:
         k_max = iteration_count(cfg.n, count)
 
-    layout = RegisterLayout.standard(cfg.n, cfg.m)
-    state = new_zero_state(layout.total_qubits)
-    prepare(state, layout)
-    problem = SearchProblem.build(blocks, layout, hp, cfg.zeros)
+    problem = SearchProblem.build(blocks, RegisterLayout.standard(cfg.n, cfg.m),
+                                  hp, cfg.zeros)
     if cfg.dump_circuits:
         _dump_circuits(cfg.dump_circuits, problem)
 
+    amplitudes = problem.prepared()
     rows = []
     for k in range(k_max + 1):
-        dist = problem.run(state, 1 if k else 0)
+        dist = problem.run(amplitudes, 1 if k else 0)
         simulated = float(dist[solutions].sum())
         analytic = analytic_success_probability(cfg.n, count, k)
         rows.append([k, _fmt(simulated), _fmt(analytic),

@@ -16,12 +16,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Sequence
 
 import numpy as np
 
 from .circuit import Circuit, Gate, apply_circuit, invert
-from .statevector import StateVector, new_zero_state
+# new_zero_state stays bound here for tracers that wrap miner.new_zero_state
+from .statevector import _SQRT1_2, StateVector, new_zero_state, permute_labels
 from .toyhash import Digest, HashParams, build_hash_circuit, hash_classical
 
 UNKNOWN_COUNT_GROWTH = 6 / 5  # per-round budget ratio when the solution count is unknown
@@ -186,23 +188,45 @@ def grover_iteration(state: StateVector, layout: RegisterLayout,
     apply_circuit(state, diffusion)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SearchProblem:
     """The circuits of one search iteration for one header, built once
-    and shared by every run of that search."""
+    and shared by every run of that search.
+
+    Between iterations the state is sum_v b_v |v>|0...0>|-> (its functional
+    |1> branch is exactly -b), so hash, oracle and unhash only negate b on
+    the ``marked`` nonces, read off the circuits at build.  ``run`` keeps
+    the 2^n amplitudes b and applies the diffusion as ``steps``: an H's
+    target bit, or the gather index of a run of X/SWAP/MCX gates."""
 
     layout: RegisterLayout
     hash_circuit: Circuit
     hash_inverse: Circuit
     oracle: Circuit
     diffusion: Circuit
+    marked: np.ndarray
+    steps: tuple
 
     @staticmethod
     def build(header_blocks: Sequence[int], layout: RegisterLayout,
               hash_params: HashParams, zeros: int) -> "SearchProblem":
         hash_circuit = build_hash_circuit(layout, header_blocks, hash_params)
-        return SearchProblem(layout, hash_circuit, invert(hash_circuit),
-                             build_oracle(layout, zeros), build_diffusion(layout))
+        hash_inverse = invert(hash_circuit)
+        oracle, diffusion = build_oracle(layout, zeros), build_diffusion(layout)
+        nonces = np.arange(1 << len(layout.nonce))
+        functional = 1 << layout.functional
+        labels = permute_labels(nonces, hash_circuit.gates + oracle.gates
+                                + hash_inverse.gates)
+        if np.any((labels & ~functional) != nonces):
+            raise ValueError("hash, oracle and unhash must return every nonce "
+                             "with the hash and service registers at |0...0>")
+        steps = []
+        for is_h, run in groupby(diffusion.gates, key=lambda g: g.kind == "H"):
+            run = list(run)  # every gate is self-inverse: gather by the reverse
+            steps += ([g.targets[0] for g in run] if is_h
+                      else [permute_labels(nonces, run[::-1])])
+        return SearchProblem(layout, hash_circuit, hash_inverse, oracle,
+                             diffusion, (labels & functional) != 0, tuple(steps))
 
     @property
     def gates_per_iteration(self) -> int:
@@ -210,13 +234,30 @@ class SearchProblem:
         return (len(self.hash_circuit) + len(self.oracle)
                 + len(self.hash_inverse) + len(self.diffusion))
 
-    def run(self, state: StateVector, iterations: int) -> np.ndarray:
-        """Apply ``iterations`` more search iterations to ``state`` and
+    def prepared(self) -> np.ndarray:
+        """The amplitudes b of ``prepare``'s state, as ``run`` takes them:
+        each of its n + 1 H gates scales every non-zero amplitude by 1/sqrt(2)."""
+        scale = math.prod([_SQRT1_2] * (len(self.layout.nonce) + 1))
+        return np.full(len(self.marked), scale, dtype=np.complex128)
+
+    def run(self, b: np.ndarray, iterations: int) -> np.ndarray:
+        """Apply ``iterations`` more search iterations to ``b`` in place and
         return the distribution of the nonce register."""
         for _ in range(iterations):
-            grover_iteration(state, self.layout, self.hash_circuit, self.oracle,
-                             self.diffusion, hash_inverse=self.hash_inverse)
-        return state.register_distribution(self.layout.nonce)
+            np.negative(b, out=b, where=self.marked)
+            for step in self.steps:
+                if isinstance(step, int):
+                    _butterfly(b, step)
+                else:
+                    b[:] = b[step]
+        p = b.real * b.real + b.imag * b.imag
+        return p + p  # both functional branches, in the order readout adds them
+
+
+def _butterfly(b: np.ndarray, bit: int) -> None:
+    pairs = b.reshape(-1, 2, 1 << bit)
+    x0, x1 = pairs[:, 0], pairs[:, 1]
+    pairs[:, 0], pairs[:, 1] = (x0 + x1) * _SQRT1_2, (x0 - x1) * _SQRT1_2
 
 
 # -- schedules and analysis ------------------------------------------------------
@@ -323,20 +364,16 @@ def mine_quantum(header_blocks: Sequence[int], layout: RegisterLayout,
     n = len(layout.nonce)
     hp = params.hash_params
     zeros = params.difficulty_zeros
-    state = new_zero_state(layout.total_qubits)
     problem = SearchProblem.build(header_blocks, layout, hp, zeros)
     rng = np.random.default_rng(params.rng_seed)
-    solutions = enumerate_solutions(header_blocks, hp, n, zeros)
 
     def run_round(num_iterations: int) -> tuple[int, float, Digest, bool]:
-        state.reset()
-        prepare(state, layout)
-        dist = problem.run(state, num_iterations)
-        solution_mass = float(dist[solutions].sum()) if solutions else 0.0
+        dist = problem.run(problem.prepared(), num_iterations)
+        solution_mass = float(dist[problem.marked].sum())
         if exact_readout:
             value = int(np.argmax(dist))
         else:
-            value = state.measure_register(layout.nonce, rng).value
+            value = int(rng.choice(len(dist), p=dist / dist.sum()))
         digest = hash_classical(list(header_blocks) + [value], hp)
         return value, solution_mass, digest, digest.meets_difficulty(zeros)
 
@@ -348,7 +385,8 @@ def mine_quantum(header_blocks: Sequence[int], layout: RegisterLayout,
             success=ok,
             grover_iterations_used=used,
             success_probability_at_measurement=mass,
-            total_gates=state.total_gates,
+            # prepare (n + 2 gates) once per round, plus every iteration
+            total_gates=hashes * (n + 2) + used * problem.gates_per_iteration,
             hashes_tried=hashes,
         )
 

@@ -55,6 +55,37 @@ class _Rows(dict):
         return row
 
 
+def permute_labels(labels: np.ndarray, gates: Iterable[Gate]) -> np.ndarray:
+    """The basis labels that ``labels`` move to under X/SWAP/MCX ``gates``,
+    applied in order."""
+    # each row operation acts on every label at once; X only toggles
+    # bit k of ``flips``, the pending complement of row k
+    ones, rows, flips = (1 << len(labels)) - 1, _Rows(labels), 0
+    for gate in gates:
+        t = gate.targets[0]
+        if gate.kind == "X":
+            flips ^= 1 << t
+        elif gate.kind == "SWAP":
+            u = gate.targets[1]
+            rows[t], rows[u] = rows[u], rows[t]
+            flips ^= ((flips >> t ^ flips >> u) & 1) * (1 << t | 1 << u)
+        elif gate.kind == "MCX":  # flip the target where every control holds
+            fire = ones
+            for q, positive in gate.controls:
+                fire &= rows[q] if positive ^ (flips >> q & 1) else ~rows[q]
+            rows[t] ^= fire
+        else:
+            raise ValueError(f"{gate.kind} is not a permutation gate")
+    out = labels ^ flips
+    for k, row in rows.items():
+        if row != rows.read[k]:
+            diff = (row ^ rows.read[k]).to_bytes(-(-len(labels) // 8), "little")
+            bits = np.unpackbits(np.frombuffer(diff, np.uint8),
+                                 count=len(labels), bitorder="little")
+            np.bitwise_xor(out, 1 << k, out=out, where=bits.view(bool))
+    return out
+
+
 class StateVector:
     """Mutable amplitude array for ``num_qubits`` qubits.
 
@@ -120,29 +151,7 @@ class StateVector:
                 support = self._hadamard(support, 1 << gate.targets[0])
 
     def _permute(self, support: np.ndarray, gates: Iterable[Gate]) -> np.ndarray:
-        # each row operation acts on every label at once; X only toggles
-        # bit k of ``flips``, the pending complement of row k
-        ones, rows, flips = (1 << len(support)) - 1, _Rows(support), 0
-        for gate in gates:
-            t = gate.targets[0]
-            if gate.kind == "X":
-                flips ^= 1 << t
-            elif gate.kind == "SWAP":
-                u = gate.targets[1]
-                rows[t], rows[u] = rows[u], rows[t]
-                flips ^= ((flips >> t ^ flips >> u) & 1) * (1 << t | 1 << u)
-            else:  # MCX: flip the target where every control holds
-                fire = ones
-                for q, positive in gate.controls:
-                    fire &= rows[q] if positive ^ (flips >> q & 1) else ~rows[q]
-                rows[t] ^= fire
-        labels = support ^ flips
-        for k, row in rows.items():
-            if row != rows.read[k]:
-                diff = (row ^ rows.read[k]).to_bytes(-(-len(support) // 8), "little")
-                bits = np.unpackbits(np.frombuffer(diff, np.uint8),
-                                     count=len(support), bitorder="little")
-                np.bitwise_xor(labels, 1 << k, out=labels, where=bits.view(bool))
+        labels = permute_labels(support, gates)
         # a permutation maps the support onto a set of the same size, so
         # clearing the old positions first leaves every other entry zero
         values = self.amplitudes[support]

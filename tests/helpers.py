@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from qmine import (Circuit, Gate, RegisterLayout, StateVector, build_diffusion,
-                   build_hash_circuit, build_oracle, enumerate_solutions,
-                   grover_iteration, new_zero_state, prepare)
+from qmine import (Circuit, Gate, MiningParams, MiningResult, RegisterLayout,
+                   StateVector, build_diffusion, build_hash_circuit, build_oracle,
+                   enumerate_solutions, grover_iteration, hash_classical, invert,
+                   iteration_count, new_zero_state, prepare)
+from qmine.miner import UNKNOWN_COUNT_GROWTH
 from qmine.toyhash import GOLDEN_RATIO_32, HashParams
 
 
@@ -164,6 +168,59 @@ def dense_register_distribution(state: StateVector, register) -> np.ndarray:
     for pos, q in enumerate(register):
         values |= ((idx >> q) & 1) << pos
     return np.bincount(values, weights=probs, minlength=1 << len(register))
+
+
+def reference_mine_quantum(header_blocks, layout: RegisterLayout,
+                           params: MiningParams, *, exact_readout: bool = False,
+                           apply_gates=dense_apply_gates,
+                           distribution=dense_register_distribution) -> MiningResult:
+    """``mine_quantum`` as a gate-by-gate simulation of the whole register:
+    every round prepares a fresh state and applies hash, oracle, unhash and
+    diffusion through ``apply_gates``; the solution mass comes from the
+    classical solution list and the sampled readout draws from the nonce
+    ``distribution`` as ``StateVector.measure_register`` does."""
+    n = len(layout.nonce)
+    hp, zeros = params.hash_params, params.difficulty_zeros
+    hash_circuit = build_hash_circuit(layout, list(header_blocks), hp)
+    iteration = (hash_circuit.gates + build_oracle(layout, zeros).gates
+                 + invert(hash_circuit).gates + build_diffusion(layout).gates)
+    preparation = ([Gate.h(q) for q in layout.nonce]
+                   + [Gate.x(layout.functional), Gate.h(layout.functional)])
+    state = new_zero_state(layout.total_qubits)
+    rng = np.random.default_rng(params.rng_seed)
+    solutions = enumerate_solutions(header_blocks, hp, n, zeros)
+
+    def run_round(k):
+        state.reset()
+        apply_gates(state, preparation)
+        for _ in range(k):
+            apply_gates(state, iteration)
+        dist = distribution(state, layout.nonce)
+        mass = float(dist[solutions].sum()) if solutions else 0.0
+        if exact_readout:
+            value = int(np.argmax(dist))
+        else:
+            p = dist / dist.sum()
+            value = int(rng.choice(p.shape[0], p=p))
+        digest = hash_classical(list(header_blocks) + [value], hp)
+        return value, mass, digest
+
+    def result(value, mass, digest, used, hashes):
+        return MiningResult(value, format(value, f"0{n}b"), digest,
+                            digest.meets_difficulty(zeros), used, mass,
+                            state.total_gates, hashes)
+
+    if params.solution_count_hint is not None:
+        k = iteration_count(n, params.solution_count_hint)
+        return result(*run_round(k), k, 1)
+    budget_cap = params.max_grover_rounds * math.ceil(math.pi / 4 * math.sqrt(1 << n))
+    used = hashes = t = 0
+    while True:
+        k_t = math.ceil(UNKNOWN_COUNT_GROWTH ** t)
+        value, mass, digest = run_round(k_t)
+        used, hashes, t = used + k_t, hashes + 1, t + 1
+        if digest.meets_difficulty(zeros) or used > budget_cap:
+            return result(value, mass, digest, used, hashes)
 
 
 def max_global_phase_deviation(a: np.ndarray, b: np.ndarray) -> float:

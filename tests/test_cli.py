@@ -1,6 +1,7 @@
 import copy
 import csv
 import json
+import re
 import runpy
 import sys
 import warnings
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qmine import (Block, BlockHeader, HashParams, enumerate_solutions,
-                   estimate_resources, load_chain)
+                   estimate_resources, hash_classical, load_chain)
 from qmine.chain import Chain, save_chain
 from qmine.cli import EXIT_EXHAUSTED, EXIT_INVALID_CHAIN, EXIT_OK, EXIT_USAGE, main
 from helpers import simulated_gates_per_iteration
@@ -74,11 +75,15 @@ class TestMineCommand:
         assert code == EXIT_USAGE
         assert "must not exceed" in capsys.readouterr().err
 
-    def test_capacity_exit_2(self, capsys):
+    def test_quantum_mine_past_the_state_vector_cap(self, capsys):
+        # 33 qubits: mining keeps 2^16 amplitudes, never the 2^33-entry state
         code = main(["mine", "--n", "16", "--m", "16", "--zeros", "8",
                      "--mode", "quantum"])
-        assert code == EXIT_USAGE
-        assert "qubits" in capsys.readouterr().err
+        assert code == EXIT_OK
+        nonce = int(re.search(r"nonce=[01]{16} \((\d+)\)",
+                              capsys.readouterr().out).group(1))
+        assert hash_classical([0, 0, 0, 8, nonce],
+                              HashParams(16, 2)).meets_difficulty(8)
 
     def test_chain_building_and_validation(self, tmp_path, capsys):
         chain_file = str(tmp_path / "chain.json")

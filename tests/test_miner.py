@@ -7,11 +7,24 @@ from qmine import (Gate, HashParams, MiningParams, RegisterLayout, SearchProblem
                    enumerate_solutions, grover_iteration, hash_classical,
                    invert, iteration_count, mine_quantum, new_zero_state,
                    prepare)
-from helpers import (dense_apply_gates, dense_register_distribution,
-                     find_header_with_count, max_global_phase_deviation,
-                     simulated_gates_per_iteration)
+import qmine.miner
+from helpers import (find_header_with_count, max_global_phase_deviation,
+                     reference_mine_quantum, simulated_gates_per_iteration)
 
 HP82 = HashParams(8, 2)
+
+# every register that fits 21 qubits: n <= m, n + m + 1 <= 21
+SIZES_TO_21 = [(n, m) for m in range(4, 17) for n in range(1, min(m, 20 - m) + 1)]
+DENSE_QUBITS = 13  # above this the dense gate-by-gate reference is too slow
+
+
+def random_search(n: int, m: int):
+    """A random header, rounds, chi and a difficulty near n for (n, m)."""
+    rng = np.random.default_rng([n, m])
+    params = HashParams(m, int(rng.integers(1, 3)), bool(rng.integers(2)))
+    header = [int(b) for b in rng.integers(0, params.mask + 1, size=4)]
+    zeros = int(rng.integers(max(0, n - 2), n + 1))
+    return rng, params, header, zeros
 
 
 class TestRegisterLayout:
@@ -420,7 +433,7 @@ class TestMineQuantum:
 
     @pytest.mark.parametrize("exact", [True, False])
     @pytest.mark.parametrize("seed", range(4))
-    def test_equals_dense_reference_run(self, monkeypatch, seed, exact):
+    def test_equals_dense_reference_run(self, seed, exact):
         # random headers of any solution count, including none; the dense
         # gate-by-gate run is the reference for every field of the result
         params = HashParams(8, 2)
@@ -429,8 +442,98 @@ class TestMineQuantum:
         layout = RegisterLayout.standard(4, 8)
         mining = MiningParams(difficulty_zeros=int(rng.integers(3, 6)),
                               hash_params=params, rng_seed=seed)
-        fast = mine_quantum(header, layout, mining, exact_readout=exact)
-        monkeypatch.setattr(StateVector, "apply_gates", dense_apply_gates)
-        monkeypatch.setattr(StateVector, "register_distribution",
-                            dense_register_distribution)
-        assert mine_quantum(header, layout, mining, exact_readout=exact) == fast
+        assert mine_quantum(header, layout, mining, exact_readout=exact) == \
+            reference_mine_quantum(header, layout, mining, exact_readout=exact)
+
+    @pytest.mark.parametrize("n, m", SIZES_TO_21)
+    def test_equals_reference_run_at_every_size(self, n, m):
+        # exact and sampled readout at every size, each with and without a
+        # hint on alternate sizes; above DENSE_QUBITS the reference runs on
+        # StateVector's own kernels, which TestDenseReference checks
+        # against the dense ones
+        rng, params, header, zeros = random_search(n, m)
+        layout = RegisterLayout.standard(n, m)
+        kernels = {} if n + m + 1 <= DENSE_QUBITS else dict(
+            apply_gates=StateVector.apply_gates,
+            distribution=StateVector.register_distribution)
+        hints = (None, 1) if (n + m) % 2 else (1, None)
+        for exact, hint in zip((True, False), hints):
+            mining = MiningParams(zeros, params, max_grover_rounds=1,
+                                  solution_count_hint=hint,
+                                  rng_seed=int(rng.integers(1 << 31)))
+            assert mine_quantum(header, layout, mining, exact_readout=exact) == \
+                reference_mine_quantum(header, layout, mining,
+                                       exact_readout=exact, **kernels)
+
+    def test_past_the_state_vector_cap(self):
+        # q = 29: no StateVector could hold this register
+        params = HashParams(16, 2)
+        header, layout = [0x1234, 0xBEEF, 0x0042, 0x000C], RegisterLayout.standard(12, 16)
+        solutions = enumerate_solutions(header, params, 12, 11)
+        problem = SearchProblem.build(header, layout, params, 11)
+        assert np.flatnonzero(problem.marked).tolist() == solutions != []
+        result = mine_quantum(header, layout, MiningParams(11, params, rng_seed=3))
+        assert result.success and result.nonce in solutions
+
+
+class TestNonceAxisEngine:
+    @pytest.mark.parametrize("n, m", SIZES_TO_21)
+    def test_run_equals_grover_iteration(self, n, m):
+        # the amplitudes b are the functional-|0> branch of the full state
+        # and -b its |1> branch, bit for bit, up to twice the optimum
+        _, params, header, zeros = random_search(n, m)
+        layout = RegisterLayout.standard(n, m)
+        problem = SearchProblem.build(header, layout, params, zeros)
+        state = new_zero_state(layout.total_qubits)
+        prepare(state, layout)
+        b = problem.prepared()
+        branch = 1 << layout.functional
+        optimum = iteration_count(n, max(int(problem.marked.sum()), 1))
+        for k in range(2 * max(optimum, 1) + 1):
+            if k:
+                grover_iteration(state, layout, problem.hash_circuit,
+                                 problem.oracle, problem.diffusion)
+            dist = problem.run(b, 1 if k else 0)
+            assert np.array_equal(b, state.amplitudes[:1 << n])
+            assert np.array_equal(-b, state.amplitudes[branch:branch + (1 << n)])
+            assert np.array_equal(dist, state.register_distribution(layout.nonce))
+
+    def test_marked_follows_a_corrupted_hash_circuit(self, monkeypatch):
+        # drop one X and flip one control: the mask must be what the
+        # corrupted circuit marks on the state vector, not the classical set
+        n, m, zeros = 5, 8, 3
+        header = [0x51, 0x3B, 0x00, 0x07]
+        layout = RegisterLayout.standard(n, m)
+
+        def corrupted(*args):
+            circuit = build_hash_circuit(*args)
+            drop = next(i for i, g in enumerate(circuit.gates) if g.kind == "X")
+            flip = next(i for i, g in enumerate(circuit.gates) if g.kind == "MCX")
+            gate = circuit.gates[flip]
+            circuit.gates[flip] = Gate.mcx(
+                [(gate.controls[0][0], not gate.controls[0][1]),
+                 *gate.controls[1:]], gate.targets[0])
+            del circuit.gates[drop]
+            return circuit
+
+        monkeypatch.setattr(qmine.miner, "build_hash_circuit", corrupted)
+        problem = SearchProblem.build(header, layout, HP82, zeros)
+        state = new_zero_state(layout.total_qubits)
+        prepare(state, layout)
+        for circuit in (problem.hash_circuit, problem.oracle, problem.hash_inverse):
+            apply_circuit(state, circuit)
+        assert np.array_equal(problem.marked, state.amplitudes[:1 << n].real < 0)
+        solutions = np.zeros(1 << n, dtype=bool)
+        solutions[enumerate_solutions(header, HP82, n, zeros)] = True
+        assert not np.array_equal(problem.marked, solutions)
+
+    def test_build_rejects_an_unhash_that_does_not_unwind(self, monkeypatch):
+        def lossy(circuit):
+            inverse = invert(circuit)
+            del inverse.gates[len(inverse.gates) // 2]
+            return inverse
+
+        monkeypatch.setattr(qmine.miner, "invert", lossy)
+        with pytest.raises(ValueError, match="hash and service registers"):
+            SearchProblem.build([0x51, 0x3B, 0x00, 0x07],
+                                RegisterLayout.standard(4, 8), HP82, 3)

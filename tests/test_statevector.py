@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from qmine import (CapacityError, Circuit, Gate, HashParams, RegisterLayout,
                    SearchProblem, assignment_for, new_zero_state, prepare)
+from qmine.statevector import permute_labels
 from helpers import (dense_apply_gates, dense_register_distribution,
                      random_amplitudes, random_circuit, set_register)
 
@@ -88,6 +89,10 @@ class TestApplyGate:
         with pytest.raises(IndexError, match="qubit -1"):
             c.append(Gate.cnot(0, -1))
         assert len(c) == 0
+
+    def test_permute_labels_rejects_hadamard(self):
+        with pytest.raises(ValueError, match="not a permutation"):
+            permute_labels(np.arange(4), [Gate.x(0), Gate.h(1)])
 
     def test_norm_preserved_per_gate(self):
         s = new_zero_state(4)
