@@ -15,7 +15,8 @@ phase flip on the marked branches (phase kickback).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import groupby
 from typing import Sequence
 
@@ -212,7 +213,8 @@ class SearchProblem:
               hash_params: HashParams, zeros: int) -> "SearchProblem":
         hash_circuit = build_hash_circuit(layout, header_blocks, hash_params)
         hash_inverse = invert(hash_circuit)
-        oracle, diffusion = build_oracle(layout, zeros), build_diffusion(layout)
+        oracle = _cached_oracle(layout, zeros)
+        diffusion, steps = _cached_diffusion(layout)
         nonces = np.arange(1 << len(layout.nonce))
         functional = 1 << layout.functional
         labels = permute_labels(nonces, hash_circuit.gates + oracle.gates
@@ -220,13 +222,11 @@ class SearchProblem:
         if np.any((labels & ~functional) != nonces):
             raise ValueError("hash, oracle and unhash must return every nonce "
                              "with the hash and service registers at |0...0>")
-        steps = []
-        for is_h, run in groupby(diffusion.gates, key=lambda g: g.kind == "H"):
-            run = list(run)  # every gate is self-inverse: gather by the reverse
-            steps += ([g.targets[0] for g in run] if is_h
-                      else [permute_labels(nonces, run[::-1])])
-        return SearchProblem(layout, hash_circuit, hash_inverse, oracle,
-                             diffusion, (labels & functional) != 0, tuple(steps))
+        # each problem owns its gate lists; the gather indices are read-only
+        return SearchProblem(layout, hash_circuit, hash_inverse,
+                             replace(oracle, gates=list(oracle.gates)),
+                             replace(diffusion, gates=list(diffusion.gates)),
+                             (labels & functional) != 0, steps)
 
     @property
     def gates_per_iteration(self) -> int:
@@ -252,6 +252,27 @@ class SearchProblem:
                     b[:] = b[step]
         p = b.real * b.real + b.imag * b.imag
         return p + p  # both functional branches, in the order readout adds them
+
+
+@lru_cache(maxsize=8)
+def _cached_oracle(layout: RegisterLayout, zeros: int) -> Circuit:
+    return build_oracle(layout, zeros)
+
+
+@lru_cache(maxsize=8)
+def _cached_diffusion(layout: RegisterLayout) -> tuple[Circuit, tuple]:
+    """The diffusion and the ``steps`` that ``SearchProblem.run`` applies for it."""
+    diffusion = build_diffusion(layout)
+    nonces = np.arange(1 << len(layout.nonce))
+    steps = []
+    for is_h, run in groupby(diffusion.gates, key=lambda g: g.kind == "H"):
+        run = list(run)  # every gate is self-inverse: gather by the reverse
+        if is_h:
+            steps += [g.targets[0] for g in run]
+        else:
+            steps.append(permute_labels(nonces, run[::-1]))
+            steps[-1].setflags(write=False)
+    return diffusion, tuple(steps)
 
 
 def _butterfly(b: np.ndarray, bit: int) -> None:

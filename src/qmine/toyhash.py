@@ -24,6 +24,7 @@ default keeps the plain AND.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 from .circuit import Circuit, Gate, emit_rotate_left
@@ -172,25 +173,33 @@ def _check_layout(layout: "RegisterLayout", params: HashParams) -> None:
                          f"into one {params.digest_bits}-bit block")
 
 
+@lru_cache(maxsize=8)
+def _shared_gates(nonce: tuple[int, ...], hash_qubits: tuple[int, ...],
+                  params: HashParams, service: tuple[int, ...]) -> tuple:
+    """Each hash qubit's X, the nonce CNOTs and all r rounds: shared by all headers."""
+    rounds = Circuit(max(nonce + hash_qubits + service) + 1)
+    for j in range(params.rounds):
+        _emit_round(rounds, hash_qubits, j, params, service)
+    return (tuple(map(Gate.x, hash_qubits)),
+            tuple(Gate.cnot(q, hash_qubits[i]) for i, q in enumerate(nonce)),
+            tuple(rounds.gates))
+
+
 def _emit_absorbs(circuit: Circuit, layout: "RegisterLayout",
                   header_blocks: Sequence[int], params: HashParams,
-                  emit_round) -> None:
+                  service: tuple[int, ...] = ()) -> None:
+    xs, nonce_cnots, rounds = _shared_gates(layout.nonce, layout.hash, params, service)
     # header_blocks may be empty: the nonce block below is always absorbed
     for block in header_blocks:
         if not 0 <= block <= params.mask:
             raise ValueError(f"block {block:#x} does not fit in "
                              f"{params.digest_bits} bits")
-        for i in range(params.digest_bits):
-            if (block >> i) & 1:
-                circuit.append(Gate.x(layout.hash[i]))
-        for j in range(params.rounds):
-            emit_round(circuit, j)
+        circuit.extend([x for i, x in enumerate(xs) if (block >> i) & 1])
+        circuit.extend(rounds)
     # the nonce is always the final block, so the header prefix above is
     # nonce-independent and can be reused across mining attempts
-    for i, q in enumerate(layout.nonce):
-        circuit.append(Gate.cnot(q, layout.hash[i]))
-    for j in range(params.rounds):
-        emit_round(circuit, j)
+    circuit.extend(nonce_cnots)
+    circuit.extend(rounds)
 
 
 def build_hash_circuit(layout: "RegisterLayout", header_blocks: Sequence[int],
@@ -201,8 +210,7 @@ def build_hash_circuit(layout: "RegisterLayout", header_blocks: Sequence[int],
     gates — no service qubits."""
     _check_layout(layout, params)
     circuit = Circuit(layout.total_qubits, label="hash")
-    _emit_absorbs(circuit, layout, header_blocks, params,
-                  lambda c, j: _emit_round(c, layout.hash, j, params))
+    _emit_absorbs(circuit, layout, header_blocks, params)
     return circuit
 
 
@@ -224,7 +232,5 @@ def build_hash_circuit_outofplace(layout: "RegisterLayout",
         raise ValueError(f"need {params.digest_bits} service qubits, "
                          f"layout has {len(layout.service)}")
     circuit = Circuit(layout.total_qubits, label="hash-outofplace")
-    _emit_absorbs(circuit, layout, header_blocks, params,
-                  lambda c, j: _emit_round(c, layout.hash, j, params,
-                                           layout.service))
+    _emit_absorbs(circuit, layout, header_blocks, params, layout.service)
     return circuit

@@ -8,8 +8,9 @@ import numpy as np
 
 from qmine import (Circuit, Gate, MiningParams, MiningResult, RegisterLayout,
                    StateVector, build_diffusion, build_hash_circuit, build_oracle,
-                   enumerate_solutions, grover_iteration, hash_classical, invert,
-                   iteration_count, new_zero_state, prepare)
+                   emit_rotate_left, enumerate_solutions, grover_iteration,
+                   hash_classical, invert, iteration_count, new_zero_state,
+                   prepare, round_constant)
 from qmine.miner import UNKNOWN_COUNT_GROWTH
 from qmine.toyhash import GOLDEN_RATIO_32, HashParams
 
@@ -37,6 +38,45 @@ def hash_oracle(blocks: list[int], m: int, r: int, true_chi: bool = False) -> in
     for block in blocks:
         state = permute_oracle(state ^ block, m, r, true_chi)
     return state
+
+
+def reference_hash_circuit(layout: RegisterLayout, header_blocks,
+                           params: HashParams, service=()) -> Circuit:
+    """The hash builders' circuit emitted one gate at a time: per header
+    block its X gates and r rounds, then the nonce CNOTs and r rounds.
+    With ``service`` qubits every chi AND goes through one of them, as in
+    ``build_hash_circuit_outofplace``."""
+    m, h = params.digest_bits, layout.hash
+    circuit = Circuit(layout.total_qubits,
+                      label="hash-outofplace" if service else "hash")
+
+    def emit_round(j):
+        for i in range(m):
+            operands = [(h[(i + 1) % m], not params.true_chi), (h[(i + 2) % m], True)]
+            if service:
+                product = Gate.mcx(operands, service[i])
+                circuit.extend([product, Gate.cnot(service[i], h[i]), product])
+            else:
+                circuit.append(Gate.mcx(operands, h[i]))
+        for i in range(m):
+            circuit.append(Gate.cnot(h[(i + 3) % m], h[i]))
+        emit_rotate_left(circuit, h, 1)
+        rc = round_constant(j, m)
+        for i in range(m):
+            if (rc >> i) & 1:
+                circuit.append(Gate.x(h[i]))
+
+    for block in header_blocks:
+        for i in range(m):
+            if (block >> i) & 1:
+                circuit.append(Gate.x(h[i]))
+        for j in range(params.rounds):
+            emit_round(j)
+    for i, q in enumerate(layout.nonce):
+        circuit.append(Gate.cnot(q, h[i]))
+    for j in range(params.rounds):
+        emit_round(j)
+    return circuit
 
 
 def find_header_with_count(nonce_bits: int, params: HashParams, zeros: int,

@@ -42,6 +42,25 @@ class TestGateValidation:
         with pytest.raises(IndexError):
             c.append(Gate.x(2))
 
+    @pytest.mark.parametrize("bad, first", [(Gate.cnot(1, 4), 4),
+                                            (Gate.swap(3, 5), 5),
+                                            (Gate.mcx([(-2, True)], 1), -2),
+                                            (Gate.x(-1), -1)])
+    def test_circuit_extend_names_the_first_bad_qubit(self, bad, first):
+        # the gates before the bad one stay appended, as with append
+        c = Circuit(4, label="batch")
+        good = [Gate.x(0), Gate.ccnot(1, 2, 3)]
+        with pytest.raises(IndexError, match=rf"qubit {first} out of range "
+                                             rf"for 4-qubit circuit 'batch'"):
+            c.extend(good + [bad, Gate.x(5), Gate.h(1)])
+        assert c.gates == good
+
+    def test_circuit_extend_accepts_any_iterable(self):
+        c = Circuit(3)
+        c.extend(Gate.x(q) for q in range(3))
+        c.extend((Gate.h(0),))
+        assert [g.kind for g in c.gates] == ["X", "X", "X", "H"]
+
 
 class TestXorInto:
     @pytest.mark.parametrize("a,b,expect", [(1, 1, 0), (1, 0, 1), (0, 1, 1), (0, 0, 0)])

@@ -5,6 +5,7 @@ import re
 import runpy
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,6 +46,7 @@ def valid_chain(length=2):
     raise AssertionError("no suitable headers found")
 
 
+DATA = Path(__file__).parent / "data"
 BASE = ["--n", "4", "--m", "8", "--rounds", "2", "--zeros", "4", "--seed", "1"]
 
 
@@ -132,6 +134,16 @@ class TestMineCommand:
         assert text.startswith("# hash\n")
         assert "# oracle" in text and "# diffusion" in text
         assert "MCX" in text and "SWAP" in text
+
+    def test_dump_circuits_golden(self, tmp_path, capsys):
+        # hash, oracle and diffusion of (4, 8, 2) at zeros 4, frozen byte for byte
+        dump = tmp_path / "circuits.txt"
+        code = main(["mine", "--n", "4", "--m", "8", "--rounds", "2", "--zeros", "4",
+                     "--payload", "5a", "--timestamp", "3", "--mode", "quantum",
+                     "--exact", "--dump-circuits", str(dump)])
+        capsys.readouterr()
+        assert code == EXIT_OK
+        assert dump.read_bytes() == (DATA / "golden_mine_dump.txt").read_bytes()
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         payload, ts, solutions = find_cli_header(4, 8, 2, 4, 1)

@@ -4,12 +4,13 @@ import pytest
 from qmine import (Gate, HashParams, MiningParams, RegisterLayout, SearchProblem,
                    StateVector, analytic_success_probability, apply_circuit, assignment_for,
                    build_diffusion, build_hash_circuit, build_oracle,
-                   enumerate_solutions, grover_iteration, hash_classical,
-                   invert, iteration_count, mine_quantum, new_zero_state,
-                   prepare)
+                   enumerate_solutions, format_circuit, grover_iteration,
+                   hash_classical, invert, iteration_count, mine_quantum,
+                   new_zero_state, prepare)
 import qmine.miner
 from helpers import (find_header_with_count, max_global_phase_deviation,
-                     reference_mine_quantum, simulated_gates_per_iteration)
+                     reference_hash_circuit, reference_mine_quantum,
+                     simulated_gates_per_iteration)
 
 HP82 = HashParams(8, 2)
 
@@ -496,6 +497,46 @@ class TestNonceAxisEngine:
             dist = problem.run(b, 1 if k else 0)
             assert np.array_equal(b, state.amplitudes[:1 << n])
             assert np.array_equal(-b, state.amplitudes[branch:branch + (1 << n)])
+            assert np.array_equal(dist, state.register_distribution(layout.nonce))
+
+    def test_no_state_leaks_between_builds(self):
+        # every build owns its gate lists, and the diffusion's shared
+        # gather indices are read-only
+        n, m, zeros = 4, 8, 3
+        layout = RegisterLayout.standard(n, m)
+        first = SearchProblem.build([0x51, 0x3B], layout, HP82, zeros)
+        for circuit in (first.hash_circuit, first.hash_inverse, first.oracle,
+                        first.diffusion):
+            circuit.gates.reverse()
+            circuit.gates.append(Gate.x(0))
+        gathers = [s for s in first.steps if isinstance(s, np.ndarray)]
+        assert gathers
+        for gather in gathers:
+            assert not gather.flags.writeable
+            with pytest.raises(ValueError):
+                gather[0] = 0
+
+        header = [0x00, 0xA7, 0x02]
+        problem = SearchProblem.build(header, layout, HP82, zeros)
+        hash_circuit = reference_hash_circuit(layout, header, HP82)
+        oracle, diffusion = build_oracle(layout, zeros), build_diffusion(layout)
+        for built, reference in ((problem.hash_circuit, hash_circuit),
+                                 (problem.hash_inverse, invert(hash_circuit)),
+                                 (problem.oracle, oracle),
+                                 (problem.diffusion, diffusion)):
+            assert (built.num_qubits, built.label) == (reference.num_qubits,
+                                                       reference.label)
+            assert format_circuit(built) == format_circuit(reference)
+        solutions = np.zeros(1 << n, dtype=bool)
+        solutions[enumerate_solutions(header, HP82, n, zeros)] = True
+        assert np.array_equal(problem.marked, solutions)
+        state = new_zero_state(layout.total_qubits)
+        prepare(state, layout)
+        b = problem.prepared()
+        for _ in range(3):
+            grover_iteration(state, layout, hash_circuit, oracle, diffusion)
+            dist = problem.run(b, 1)
+            assert np.array_equal(b, state.amplitudes[:1 << n])
             assert np.array_equal(dist, state.register_distribution(layout.nonce))
 
     def test_marked_follows_a_corrupted_hash_circuit(self, monkeypatch):

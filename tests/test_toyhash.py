@@ -7,10 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from qmine import (Gate, HashParams, RegisterLayout, apply_circuit,
                    assignment_for, build_hash_circuit,
-                   build_hash_circuit_outofplace, hash_classical, invert,
-                   new_zero_state)
+                   build_hash_circuit_outofplace, format_circuit, hash_classical,
+                   invert, new_zero_state)
 from qmine.toyhash import permute, round_constant
-from helpers import hash_oracle, permute_oracle, set_register
+from helpers import (hash_oracle, permute_oracle, reference_hash_circuit,
+                     set_register)
 
 DATA = Path(__file__).parent / "data"
 
@@ -272,3 +273,48 @@ class TestHashCircuitOutOfPlace:
         with pytest.raises(ValueError):
             build_hash_circuit_outofplace(RegisterLayout.standard(2, 4, 2),
                                           [0x3], HashParams(4, 1))
+
+
+def assert_same_circuit(built, reference):
+    assert (built.num_qubits, built.label) == (reference.num_qubits, reference.label)
+    assert format_circuit(built) == format_circuit(reference)
+
+
+class TestBuildersEqualReference:
+    """The builders splice cached round gates; the reference emits every
+    gate one at a time.  Both must give the same circuit, gate for gate."""
+
+    @pytest.mark.parametrize("m", range(4, 17))
+    @pytest.mark.parametrize("r", [1, 2, 8])
+    @pytest.mark.parametrize("true_chi", [False, True])
+    @pytest.mark.parametrize("n_is_m", [False, True])
+    def test_in_place(self, m, r, true_chi, n_is_m):
+        params = HashParams(m, r, true_chi)
+        layout = RegisterLayout.standard(m if n_is_m else 1, m)
+        rng = np.random.default_rng([m, r, true_chi, n_is_m])
+        for count in range(5):  # the empty header first
+            header = [int(b) for b in rng.integers(0, params.mask + 1, size=count)]
+            assert_same_circuit(build_hash_circuit(layout, header, params),
+                                reference_hash_circuit(layout, header, params))
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    @pytest.mark.parametrize("true_chi", [False, True])
+    def test_out_of_place_at_its_caps(self, n, true_chi):
+        params = HashParams(4, 1, true_chi)
+        layout = RegisterLayout.standard(n, 4, 4)
+        rng = np.random.default_rng([n, true_chi])
+        for count in range(5):
+            header = [int(b) for b in rng.integers(0, 16, size=count)]
+            assert_same_circuit(
+                build_hash_circuit_outofplace(layout, header, params),
+                reference_hash_circuit(layout, header, params, layout.service))
+            # the in-place builder ignores the service register
+            assert_same_circuit(build_hash_circuit(layout, header, params),
+                                reference_hash_circuit(layout, header, params))
+
+    def test_block_range_checked_after_the_gates_are_cached(self):
+        layout, params = RegisterLayout.standard(2, 4), HashParams(4, 1)
+        build_hash_circuit(layout, [0x3], params)
+        for bad in (16, -1):
+            with pytest.raises(ValueError, match="does not fit"):
+                build_hash_circuit(layout, [0x3, bad], params)
