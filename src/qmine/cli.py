@@ -12,7 +12,8 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import dataclass
+from dataclasses import replace
+from functools import cache
 from pathlib import Path
 from typing import Sequence
 
@@ -37,53 +38,26 @@ MINE_CSV_HEADER = ["miner", "nonce", "nonce_bits", "digest_hex", "success",
                    "hashes_tried"]
 
 
-# -- config handling ---------------------------------------------------------
+# -- options -------------------------------------------------------------------
 
 
-@dataclass
-class RunConfig:
-    n: int
-    m: int
-    rounds: int
-    zeros: int
-    true_chi: bool
-    prev: int
-    payload: int
-    timestamp: int
-    seed: int
-    mode: str
-    exact: bool
-    max_grover_rounds: int
-    hint: int | None
-    chain_file: str | None
-    csv_out: str | None
-    dump_circuits: str | None
-
-    @property
-    def hash_params(self) -> HashParams:
-        return HashParams(self.m, self.rounds, self.true_chi)
-
-
-class _Resolver:
-    """Flags override config-file values, which override defaults."""
-
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        path = getattr(args, "config", None)
-        self.file = read_json_object(path, "config file") if path else {}
-
-    def get(self, key: str, default, convert=lambda value: value):
-        value = getattr(self.args, key, None)
-        if value is None:
-            value = self.file.get(key, default)
-        try:
-            return convert(value)
-        except (TypeError, ValueError):
-            raise ValueError(f"invalid value for {key}: {value!r}") from None
+def _opt(name: str, default=None, convert=None, **flag) -> tuple:
+    """One option, declared once: the flag ``--name`` (dashes for
+    underscores) from the add_argument keywords ``flag`` and, with a
+    ``convert``, the config key ``name``.  ``convert`` checks a flag value
+    and a config value alike; without one the option is flag-only.  Every
+    parser built from the tables also takes ``--config``."""
+    return name, default, convert, flag
 
 
 def _int_or_auto(value):
     return value if value == "auto" else json_int(value)
+
+
+def _non_negative(value) -> int:
+    if json_int(value) < 0:
+        raise ValueError(f"expected a non-negative integer, got {value!r}")
+    return value
 
 
 def _number(value) -> float:
@@ -104,38 +78,112 @@ def _optional_str(value) -> str | None:
     return value
 
 
-def _resolve_run_config(args: argparse.Namespace) -> RunConfig:
-    r = _Resolver(args)
-    n = r.get("n", 4, json_int)
-    m = r.get("m", 8, json_int)
-    zeros = r.get("zeros", "auto", _int_or_auto)
-    if getattr(args, "auto_zeros", False) or zeros == "auto":
-        zeros = compute_required_zeros(n, m)
-    cfg = RunConfig(
-        n=n,
-        m=m,
-        rounds=r.get("rounds", 2, json_int),
-        zeros=zeros,
-        true_chi=r.get("true_chi", False, json_bool),
-        prev=r.get("prev", "0", _hex),
-        payload=r.get("payload", "0", _hex),
-        timestamp=r.get("timestamp", 0, json_int),
-        seed=r.get("seed", 0, json_int),
-        mode=str(r.get("mode", "both")),
-        exact=r.get("exact", False, json_bool),
-        max_grover_rounds=r.get("max_grover_rounds", 3, json_int),
-        hint=r.get("hint", 0, json_int) or None,
-        chain_file=r.get("chain_file", None, _optional_str),
-        csv_out=r.get("csv_out", None, _optional_str),
-        dump_circuits=r.get("dump_circuits", None, _optional_str),
-    )
-    if cfg.n < 1:
+_BOOL = argparse.BooleanOptionalAction
+
+RUN_OPTIONS = (  # flags of mine and sweep
+    _opt("n", 4, json_int, type=int, help="nonce register width in bits"),
+    _opt("m", 8, json_int, type=int, help="hash digest width in bits"),
+    _opt("rounds", 2, json_int, type=int, help="permutation rounds"),
+    _opt("zeros", "auto", _int_or_auto, type=int,
+         help="required leading zero bits of the digest"),
+    _opt("auto_zeros", action="store_true",
+         help="derive zeros as n+1 (expected half a solution)"),
+    _opt("true_chi", False, json_bool, action=_BOOL,
+         help="use the inverted-operand chi nonlinearity"),
+    _opt("seed", 0, _non_negative, type=int, help="rng seed for measurements"),
+    _opt("prev", "0", _hex, help="previous digest, hex"),
+    _opt("payload", "0", _hex, help="payload digest, hex"),
+    _opt("timestamp", 0, json_int, type=int, help="header timestamp"),
+    _opt("csv_out", None, _optional_str, help="write machine-readable CSV here"),
+    _opt("dump_circuits", None, _optional_str,
+         help="write a textual dump of the built circuits"),
+)
+
+MINE_OPTIONS = (  # flags of mine; sweep reads them from its config file too
+    _opt("mode", "both", str, choices=("classical", "quantum", "both")),
+    _opt("exact", False, json_bool, action=_BOOL,
+         help="deterministic argmax readout instead of sampling"),
+    _opt("max_grover_rounds", 3, json_int, type=int,
+         help="budget multiplier when the solution count is unknown"),
+    _opt("hint", 0, lambda value: json_int(value) or None, type=int,
+         help="known solution count (runs the optimal iteration count directly)"),
+    _opt("chain_file", None, _optional_str,
+         help="append the mined block to this chain file"),
+)
+
+SWEEP_OPTIONS = (
+    _opt("k_max", type=int, help="last iteration count (default: the optimum)"),
+)
+
+ESTIMATE_OPTIONS = (
+    _opt("n", 48, json_int, type=int, help="nonce width in bits (default 48)"),
+    _opt("hash_rate", 7e6, _number, type=float,
+         help="classical hashes per second (default 7e6)"),
+    _opt("gate_time", 1e-9, _number, type=float,
+         help="seconds per quantum gate (default 1e-9)"),
+    _opt("gates_per_iteration", 1, json_int, type=int,
+         help="gates charged per search iteration (default 1)"),
+    _opt("measured", False, json_bool, action=_BOOL,
+         help="count gates per iteration from the circuits built for a "
+              "desk-scale search (no simulation)"),
+)
+
+
+def _desk(name: str, help_text: str | None) -> tuple:
+    """A mine/sweep option that sizes the search of ``estimate --measured``."""
+    _, default, convert, flag = next(o for o in RUN_OPTIONS if o[0] == name)
+    return _opt(name, default, convert, **{**flag, "help": help_text})
+
+
+DESK_OPTIONS = (  # resolved only with --measured
+    _opt("measure_n", 4, json_int, type=int,
+         help="desk-scale nonce bits for --measured (default 4)"),
+    _desk("m", "desk-scale digest bits for --measured"),
+    _desk("rounds", "desk-scale rounds for --measured"),
+    _desk("zeros", "desk-scale difficulty for --measured"),
+    _desk("true_chi", None),
+)
+
+
+def _read_config(args: argparse.Namespace) -> dict:
+    return read_json_object(args.config, "config file") if args.config else {}
+
+
+def _resolve(args: argparse.Namespace, options: Sequence[tuple], config: dict) -> None:
+    """Set each option on ``args``: a flag overrides the config file, which
+    overrides the default."""
+    for name, default, convert, _ in options:
+        if convert is None:
+            continue
+        value = getattr(args, name, None)
+        if value is None:
+            value = config.get(name, default)
+        try:
+            setattr(args, name, convert(value))
+        except (TypeError, ValueError):
+            raise ValueError(f"invalid value for {name}: {value!r}") from None
+
+
+def _required_zeros(zeros, nonce_bits: int, digest_bits: int) -> int:
+    """``zeros``, or n+1 (expected half a solution) when it is "auto"."""
+    return compute_required_zeros(nonce_bits, digest_bits) if zeros == "auto" else zeros
+
+
+def _hash_params(cfg: argparse.Namespace) -> HashParams:
+    return HashParams(cfg.m, cfg.rounds, cfg.true_chi)
+
+
+def _resolve_run_config(args: argparse.Namespace) -> argparse.Namespace:
+    _resolve(args, RUN_OPTIONS + MINE_OPTIONS, _read_config(args))
+    args.zeros = _required_zeros("auto" if args.auto_zeros else args.zeros,
+                                 args.n, args.m)
+    if args.n < 1:
         raise ValueError("n must be >= 1")
-    if cfg.n > cfg.m:
-        raise ValueError(f"nonce bits ({cfg.n}) must not exceed hash bits ({cfg.m})")
-    if cfg.mode not in ("classical", "quantum", "both"):
-        raise ValueError(f"mode must be classical, quantum or both, got {cfg.mode!r}")
-    return cfg
+    if args.n > args.m:
+        raise ValueError(f"nonce bits ({args.n}) must not exceed hash bits ({args.m})")
+    if args.mode not in ("classical", "quantum", "both"):
+        raise ValueError(f"mode must be classical, quantum or both, got {args.mode!r}")
+    return args
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -167,16 +215,20 @@ def _write_csv(path: str | None, header: list[str], rows: list[list]) -> None:
             out.close()
 
 
-def _mine_record_row(miner: str, result: MiningResult) -> list:
-    rec = result.as_record()
-    return [miner, rec["nonce"], rec["nonce_bits"], rec["digest_hex"],
-            int(rec["success"]), rec["grover_iterations"],
-            _fmt(rec["success_probability"]), rec["total_gates"],
-            rec["hashes_tried"]]
+def _mine_record_row(miner: str, r: MiningResult) -> list:
+    return [miner, r.nonce, r.nonce_bits, r.digest.hex, int(r.success),
+            r.grover_iterations_used, _fmt(r.success_probability_at_measurement),
+            r.total_gates, r.hashes_tried]
 
 
-def cmd_mine(cfg: RunConfig) -> int:
-    hp = cfg.hash_params
+def _header(cfg: argparse.Namespace, prev: int) -> BlockHeader:
+    return BlockHeader(prev_digest=prev, payload_digest=cfg.payload,
+                       timestamp=cfg.timestamp, difficulty_zeros=cfg.zeros,
+                       nonce=0)
+
+
+def cmd_mine(cfg: argparse.Namespace) -> int:
+    hp = _hash_params(cfg)
     chain = None
     prev = cfg.prev
     if cfg.chain_file and Path(cfg.chain_file).exists():
@@ -188,9 +240,7 @@ def cmd_mine(cfg: RunConfig) -> int:
     elif cfg.chain_file:
         chain = Chain(hash_params=hp, nonce_bits=cfg.n)
 
-    header = BlockHeader(prev_digest=prev, payload_digest=cfg.payload,
-                         timestamp=cfg.timestamp,
-                         difficulty_zeros=cfg.zeros, nonce=0)
+    header = _header(cfg, prev)
     blocks = serialize_header(header, hp)
     params = MiningParams(difficulty_zeros=cfg.zeros, hash_params=hp,
                           max_grover_rounds=cfg.max_grover_rounds,
@@ -236,30 +286,22 @@ def cmd_mine(cfg: RunConfig) -> int:
         _write_csv(cfg.csv_out, MINE_CSV_HEADER,
                    [_mine_record_row(m, r) for m, r in results.items()])
 
-    chosen = None
-    if cfg.mode in ("quantum", "both") and results["quantum"].success:
-        chosen = results["quantum"]
-    elif cfg.mode == "classical" and results["classical"].success:
-        chosen = results["classical"]
-    elif cfg.mode == "both" and results["classical"].success:
-        chosen = results["classical"]
-    if chain is not None and chosen is not None:
-        mined = BlockHeader(prev_digest=prev, payload_digest=cfg.payload,
-                            timestamp=cfg.timestamp,
-                            difficulty_zeros=cfg.zeros, nonce=chosen.nonce)
-        chain.append(Block.from_header(mined, hp))
+    # results run classical first, so a quantum nonce wins when both succeed
+    found = [r for r in results.values() if r.success]
+    if chain is not None and found:
+        chain.append(Block.from_header(replace(header, nonce=found[-1].nonce), hp))
         save_chain(chain, cfg.chain_file)
         print(f"appended block {len(chain.blocks) - 1} to {cfg.chain_file}")
 
     return EXIT_OK if all(r.success for r in results.values()) else EXIT_EXHAUSTED
 
 
-def cmd_sweep(cfg: RunConfig, k_max: int | None) -> int:
-    hp = cfg.hash_params
-    header = BlockHeader(prev_digest=cfg.prev, payload_digest=cfg.payload,
-                         timestamp=cfg.timestamp,
-                         difficulty_zeros=cfg.zeros, nonce=0)
-    blocks = serialize_header(header, hp)
+def cmd_sweep(cfg: argparse.Namespace) -> int:
+    k_max = cfg.k_max
+    if k_max is not None and k_max < 0:
+        raise ValueError(f"k_max must be >= 0, got {k_max}")
+    hp = _hash_params(cfg)
+    blocks = serialize_header(_header(cfg, cfg.prev), hp)
     solutions = enumerate_solutions(blocks, hp, cfg.n, cfg.zeros)
     count = len(solutions)
     if count == 0:
@@ -288,28 +330,22 @@ def cmd_sweep(cfg: RunConfig, k_max: int | None) -> int:
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
-    r = _Resolver(args)
-    nonce_bits = r.get("n", 48, json_int)
-    hash_rate = r.get("hash_rate", 7e6, _number)
-    gate_time = r.get("gate_time", 1e-9, _number)
-    gates_per_iteration = r.get("gates_per_iteration", 1, json_int)
+    config = _read_config(args)
+    _resolve(args, ESTIMATE_OPTIONS, config)
     source = "assumed"
-    if r.get("measured", False, json_bool):
-        desk_n = r.get("measure_n", 4, json_int)
-        hp = HashParams(r.get("m", 8, json_int), r.get("rounds", 2, json_int),
-                        r.get("true_chi", False, json_bool))
-        zeros = r.get("zeros", "auto", _int_or_auto)
-        if zeros == "auto":
-            zeros = compute_required_zeros(desk_n, hp.digest_bits)
-        layout = RegisterLayout.standard(desk_n, hp.digest_bits)
-        gates_per_iteration = SearchProblem.build(
+    if args.measured:
+        _resolve(args, DESK_OPTIONS, config)
+        hp = _hash_params(args)
+        zeros = _required_zeros(args.zeros, args.measure_n, hp.digest_bits)
+        layout = RegisterLayout.standard(args.measure_n, hp.digest_bits)
+        args.gates_per_iteration = SearchProblem.build(
             [0, 0, 0, 0], layout, hp, zeros).gates_per_iteration
-        source = (f"measured at n={desk_n} m={hp.digest_bits} "
+        source = (f"measured at n={args.measure_n} m={hp.digest_bits} "
                   f"rounds={hp.rounds} zeros={zeros}")
 
-    est = estimate_resources(nonce_bits, hash_rate, gate_time,
-                             gates_per_iteration)
-    print(f"nonce space: 2^{nonce_bits}")
+    est = estimate_resources(args.n, args.hash_rate, args.gate_time,
+                             args.gates_per_iteration)
+    print(f"nonce space: 2^{args.n}")
     print(f"classical: hashes={est.classical_hashes}"
           f" seconds={est.classical_seconds:.6g}"
           f" hours={est.classical_hours:.6g}"
@@ -317,9 +353,9 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     print(f"quantum:   iterations={est.quantum_iterations}"
           f" gates={est.quantum_gate_count}"
           f" seconds={est.quantum_seconds:.6g}")
-    print(f"assumptions: hash_rate={hash_rate:.6g}/s"
-          f" gate_time={gate_time:.6g}s"
-          f" gates_per_iteration={gates_per_iteration} ({source})")
+    print(f"assumptions: hash_rate={args.hash_rate:.6g}/s"
+          f" gate_time={args.gate_time:.6g}s"
+          f" gates_per_iteration={args.gates_per_iteration} ({source})")
     return EXIT_OK
 
 
@@ -351,75 +387,28 @@ def cmd_chain_show(path: str) -> int:
 # -- argument parsing -----------------------------------------------------------
 
 
+def _add_flags(parser: argparse.ArgumentParser, options: Sequence[tuple]) -> None:
+    parser.add_argument("--config", help="JSON config file; flags override it")
+    for name, _, _, flag in options:
+        parser.add_argument("--" + name.replace("_", "-"), **flag)
+
+
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then shared."""
     parser = argparse.ArgumentParser(
         prog="qmine",
         description="Grover-search proof-of-work mining on a simulated "
                     "quantum register, with a classical baseline.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file; flags override it")
-    common.add_argument("--n", type=int, help="nonce register width in bits")
-    common.add_argument("--m", type=int, help="hash digest width in bits")
-    common.add_argument("--rounds", type=int, help="permutation rounds")
-    common.add_argument("--zeros", type=int,
-                        help="required leading zero bits of the digest")
-    common.add_argument("--auto-zeros", action="store_true",
-                        help="derive zeros as n+1 (expected half a solution)")
-    common.add_argument("--true-chi", action=argparse.BooleanOptionalAction,
-                        help="use the inverted-operand chi nonlinearity")
-    common.add_argument("--seed", type=int, help="rng seed for measurements")
-    common.add_argument("--prev", help="previous digest, hex")
-    common.add_argument("--payload", help="payload digest, hex")
-    common.add_argument("--timestamp", type=int, help="header timestamp")
-    common.add_argument("--csv-out", help="write machine-readable CSV here")
-    common.add_argument("--dump-circuits",
-                        help="write a textual dump of the built circuits")
-
-    p_mine = sub.add_parser("mine", parents=[common],
-                            help="mine one block classically and/or on the "
-                                 "simulated quantum register")
-    p_mine.add_argument("--mode", choices=("classical", "quantum", "both"))
-    p_mine.add_argument("--exact", action=argparse.BooleanOptionalAction,
-                        help="deterministic argmax readout instead of sampling")
-    p_mine.add_argument("--max-grover-rounds", type=int,
-                        help="budget multiplier when the solution count "
-                             "is unknown")
-    p_mine.add_argument("--hint", type=int,
-                        help="known solution count (runs the optimal "
-                             "iteration count directly)")
-    p_mine.add_argument("--chain-file",
-                        help="append the mined block to this chain file")
-
-    p_sweep = sub.add_parser("sweep", parents=[common],
-                             help="success probability vs iteration count, "
-                                  "simulated and analytic")
-    p_sweep.add_argument("--k-max", type=int,
-                         help="last iteration count (default: the optimum)")
-
-    p_est = sub.add_parser("estimate",
-                           help="classical vs quantum resource projection")
-    p_est.add_argument("--config", help="JSON config file; flags override it")
-    p_est.add_argument("--n", type=int, help="nonce width in bits (default 48)")
-    p_est.add_argument("--hash-rate", type=float, dest="hash_rate",
-                       help="classical hashes per second (default 7e6)")
-    p_est.add_argument("--gate-time", type=float, dest="gate_time",
-                       help="seconds per quantum gate (default 1e-9)")
-    p_est.add_argument("--gates-per-iteration", type=int,
-                       dest="gates_per_iteration",
-                       help="gates charged per search iteration (default 1)")
-    p_est.add_argument("--measured", action=argparse.BooleanOptionalAction,
-                       help="count gates per iteration from the circuits "
-                            "built for a desk-scale search (no simulation)")
-    p_est.add_argument("--measure-n", type=int, dest="measure_n",
-                       help="desk-scale nonce bits for --measured (default 4)")
-    p_est.add_argument("--m", type=int, help="desk-scale digest bits for --measured")
-    p_est.add_argument("--rounds", type=int,
-                       help="desk-scale rounds for --measured")
-    p_est.add_argument("--zeros", type=int,
-                       help="desk-scale difficulty for --measured")
-    p_est.add_argument("--true-chi", action=argparse.BooleanOptionalAction)
+    for name, help_text, options in (
+            ("mine", "mine one block classically and/or on the simulated "
+                     "quantum register", RUN_OPTIONS + MINE_OPTIONS),
+            ("sweep", "success probability vs iteration count, simulated "
+                      "and analytic", RUN_OPTIONS + SWEEP_OPTIONS),
+            ("estimate", "classical vs quantum resource projection",
+             ESTIMATE_OPTIONS + DESK_OPTIONS)):
+        _add_flags(sub.add_parser(name, help=help_text), options)
 
     p_chain = sub.add_parser("chain", help="inspect or validate a chain file")
     chain_sub = p_chain.add_subparsers(dest="chain_command", required=True)
@@ -437,7 +426,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "mine":
             return cmd_mine(_resolve_run_config(args))
         if args.command == "sweep":
-            return cmd_sweep(_resolve_run_config(args), args.k_max)
+            return cmd_sweep(_resolve_run_config(args))
         if args.command == "estimate":
             return cmd_estimate(args)
         if args.command == "chain":

@@ -101,19 +101,6 @@ class MiningResult:
     total_gates: int
     hashes_tried: int
 
-    def as_record(self) -> dict:
-        """Flat scalar record for CSV / report serialization."""
-        return {
-            "nonce": self.nonce,
-            "nonce_bits": self.nonce_bits,
-            "digest_hex": self.digest.hex,
-            "success": self.success,
-            "grover_iterations": self.grover_iterations_used,
-            "success_probability": self.success_probability_at_measurement,
-            "total_gates": self.total_gates,
-            "hashes_tried": self.hashes_tried,
-        }
-
 
 # -- circuit pieces ------------------------------------------------------------
 

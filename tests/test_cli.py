@@ -1,5 +1,6 @@
 import copy
 import csv
+import itertools
 import json
 import re
 import runpy
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from qmine import (Block, BlockHeader, HashParams, enumerate_solutions,
                    estimate_resources, hash_classical, load_chain)
+from qmine import cli
 from qmine.chain import Chain, save_chain
 from qmine.cli import EXIT_EXHAUSTED, EXIT_INVALID_CHAIN, EXIT_OK, EXIT_USAGE, main
 from helpers import simulated_gates_per_iteration
@@ -113,6 +115,17 @@ class TestMineCommand:
         assert main(["chain", "validate",
                      "--chain-file", chain_file]) == EXIT_INVALID_CHAIN
 
+    def test_chain_takes_the_quantum_nonce_when_both_succeed(self, tmp_path, capsys):
+        chain_file = tmp_path / "chain.json"
+        code = main(["mine", "--n", "4", "--m", "8", "--rounds", "2", "--zeros", "1",
+                     "--payload", "00", "--timestamp", "2",
+                     "--chain-file", str(chain_file)])
+        out = capsys.readouterr().out
+        assert code == EXIT_OK and "different valid nonces" in out
+        quantum = int(re.search(r"\[quantum\] success=yes nonce=[01]+ \((\d+)\)",
+                                out).group(1))
+        assert load_chain(chain_file).blocks[0].header.nonce == quantum
+
     def test_csv_out(self, tmp_path, capsys):
         payload, ts, _ = find_cli_header(4, 8, 2, 4, 1)
         out_file = tmp_path / "runs.csv"
@@ -157,6 +170,87 @@ class TestMineCommand:
         out = capsys.readouterr().out
         assert code == EXIT_OK
         assert "top 4 of 8" in out
+
+
+# a value for every config key, none of them its default
+OPTION_VALUES = {"n": 3, "m": 9, "rounds": 1, "zeros": 2, "true_chi": True, "seed": 1,
+                 "prev": "01", "payload": "01", "timestamp": 3, "csv_out": "out.csv",
+                 "dump_circuits": "dump.txt", "mode": "quantum", "exact": True,
+                 "max_grover_rounds": 1, "hint": 1, "chain_file": "chain.json",
+                 "hash_rate": 1e6, "gate_time": 2e-9, "gates_per_iteration": 5,
+                 "measured": True, "measure_n": 3}
+RUN_CONFIG = {"n": 4, "m": 8, "rounds": 2, "zeros": 1, "payload": "00", "timestamp": 3}
+# a sweep reads exact probabilities, and chi's operand inversion costs no gates
+UNSEEN_IN_STDOUT = {("sweep", "seed"), ("estimate", "true_chi")}
+
+
+def config_keys(*tables):
+    return [name for name, _, convert, _ in itertools.chain(*tables) if convert]
+
+
+OPTION_CASES = (
+    [("mine", key) for key in config_keys(cli.RUN_OPTIONS, cli.MINE_OPTIONS)]
+    + [("sweep", key) for key in config_keys(cli.RUN_OPTIONS)]
+    + [("estimate", key) for key in config_keys(cli.ESTIMATE_OPTIONS, cli.DESK_OPTIONS)])
+
+
+class TestOptionSources:
+    """Every option is one declaration: the same value given as a flag or
+    as the same-named config key gives the same run."""
+
+    def observe(self, tmp_path, monkeypatch, capsys, argv, config):
+        tmp_path.mkdir()
+        (tmp_path / "run.json").write_text(json.dumps(config))
+        monkeypatch.chdir(tmp_path)
+        code = main([*argv, "--config", "run.json"])
+        files = {f.name: f.read_text() for f in sorted(tmp_path.iterdir())
+                 if f.name != "run.json"}
+        return code, capsys.readouterr().out, files
+
+    @pytest.mark.parametrize("command, key", OPTION_CASES,
+                             ids=[f"{c}-{k}" for c, k in OPTION_CASES])
+    def test_flag_equals_config_key(self, tmp_path, monkeypatch, capsys, command, key):
+        value = OPTION_VALUES[key]
+        if command == "estimate":
+            base = {"measured": True} if key in config_keys(cli.DESK_OPTIONS) else {}
+        else:
+            base = {k: v for k, v in RUN_CONFIG.items() if k != key}
+        flag = "--" + key.replace("_", "-")
+        flags = [flag] if value is True else [flag, str(value)]
+        by_flag = self.observe(tmp_path / "flag", monkeypatch, capsys,
+                               [command, *flags], base)
+        by_key = self.observe(tmp_path / "key", monkeypatch, capsys,
+                              [command], {**base, key: value})
+        neither = self.observe(tmp_path / "neither", monkeypatch, capsys,
+                               [command], base)
+        assert by_flag == by_key
+        if (command, key) not in UNSEEN_IN_STDOUT:
+            assert by_key != neither  # the value took effect
+
+
+class TestOneParser:
+    def test_alternating_argvs_share_one_parser(self, monkeypatch, capsys):
+        seen = []
+
+        def record(opts):
+            seen.append(opts if isinstance(opts, str) else dict(vars(opts)))
+            return EXIT_OK
+
+        monkeypatch.setattr(cli, "cmd_mine", record)
+        monkeypatch.setattr(cli, "cmd_chain_validate", record)
+        parser = cli.build_parser()
+        for argv in (["mine", "--exact"], ["mine"], ["mine", "--true-chi"],
+                     ["mine", "--no-true-chi"], ["mine"],
+                     ["chain", "validate", "--chain-file", "c.json"], ["mine"]):
+            assert main(argv) == EXIT_OK
+        assert cli.build_parser() is parser
+        plain = seen[1]
+        assert seen[0]["exact"] is True and plain["exact"] is False
+        assert seen[2]["true_chi"] is True and seen[3]["true_chi"] is False
+        assert seen[4] == plain and seen[6] == plain
+        assert seen[5] == "c.json"
+        assert vars(parser.parse_args(["chain", "validate", "--chain-file", "c.json"])) == {
+            "command": "chain", "chain_command": "validate", "chain_file": "c.json"}
 
 
 class TestMalformedInput:
@@ -221,13 +315,25 @@ class TestMalformedInput:
         ({"n": True}, "n"),
         ({"prev": 128}, "prev"),
         ({"csv_out": 5}, "csv_out"),
+        ({"seed": -1}, "seed: -1"),
     ], ids=["string-exact", "string-true-chi", "float-n", "bool-n", "int-prev",
-            "int-csv-out"])
+            "int-csv-out", "negative-seed"])
     def test_mistyped_config_value(self, tmp_path, capsys, config, key):
         path = tmp_path / "run.json"
         path.write_text(json.dumps({"mode": "classical", **config}))
         self.assert_usage_error(capsys, ["mine", "--config", str(path)],
                                 f"invalid value for {key}")
+
+    @pytest.mark.parametrize("mode", ["classical", "quantum", "both"])
+    def test_negative_seed_flag(self, capsys, mode):
+        self.assert_usage_error(capsys, ["mine", "--seed", "-1", "--mode", mode],
+                                "invalid value for seed: -1")
+
+    def test_negative_k_max(self, tmp_path, capsys):
+        csv_file = tmp_path / "sweep.csv"
+        self.assert_usage_error(capsys, ["sweep", *BASE, "--k-max", "-1",
+                                         "--csv-out", str(csv_file)], "k_max")
+        assert not csv_file.exists()
 
     @pytest.mark.parametrize("flags, text", [
         (["--n", "1024"], "nonce bits must be in 0..1023, got 1024"),
