@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .miner import MiningParams, MiningResult
-from .toyhash import Digest, HashParams, hash_classical
+from .miner import MiningParams, MiningResult, header_prefix
+from .toyhash import Digest, HashParams, check_block, hash_classical
 
 CHAIN_FORMAT_VERSION = "qmine-chain/1"
 
@@ -85,11 +85,11 @@ def mine_classical(header_blocks: Sequence[int], params: MiningParams,
     digest clears the difficulty; ties against the quantum miner are
     broken toward the smallest nonce by construction."""
     hp = params.hash_params
-    blocks = list(header_blocks)
+    prefix = header_prefix(header_blocks, hp)
     space = 1 << nonce_bits
     digest = Digest(0, hp.digest_bits)
     for value in range(space):
-        digest = hash_classical(blocks + [value], hp)
+        digest = hash_classical([prefix ^ check_block(value, hp)], hp)
         if digest.meets_difficulty(params.difficulty_zeros):
             return MiningResult(
                 nonce=value, nonce_bits=format(value, f"0{nonce_bits}b"),

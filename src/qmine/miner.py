@@ -25,7 +25,8 @@ import numpy as np
 from .circuit import Circuit, Gate, apply_circuit, invert
 # new_zero_state stays bound here for tracers that wrap miner.new_zero_state
 from .statevector import _SQRT1_2, StateVector, new_zero_state, permute_labels
-from .toyhash import Digest, HashParams, build_hash_circuit, hash_classical
+from .toyhash import (Digest, HashParams, build_hash_circuit, check_block,
+                      hash_classical)
 
 UNKNOWN_COUNT_GROWTH = 6 / 5  # per-round budget ratio when the solution count is unknown
 MAX_ESTIMATE_BITS = 1023  # the estimator's counts must convert to finite floats
@@ -343,12 +344,22 @@ def estimate_resources(nonce_bits: int, hash_rate: float, gate_time: float,
     )
 
 
+def header_prefix(header_blocks: Sequence[int], hash_params: HashParams) -> int:
+    """The sponge state after absorbing the header, 0 for an empty one.
+
+    Absorbing v into state s is absorbing s ^ v into the zero state, so
+    ``hash_classical([prefix ^ v])`` equals ``hash_classical(header + [v])``
+    for every block v and costs one permutation instead of len(header) + 1."""
+    return hash_classical(list(header_blocks), hash_params).value if header_blocks else 0
+
+
 def enumerate_solutions(header_blocks: Sequence[int], hash_params: HashParams,
                         nonce_bits: int, zeros: int) -> list[int]:
     """All nonce values whose digest clears the difficulty, by classical
     exhaustion (desk scale only)."""
+    prefix = header_prefix(header_blocks, hash_params)
     return [v for v in range(1 << nonce_bits)
-            if hash_classical(list(header_blocks) + [v], hash_params)
+            if hash_classical([prefix ^ check_block(v, hash_params)], hash_params)
             .meets_difficulty(zeros)]
 
 
@@ -356,7 +367,8 @@ def enumerate_solutions(header_blocks: Sequence[int], hash_params: HashParams,
 
 
 def mine_quantum(header_blocks: Sequence[int], layout: RegisterLayout,
-                 params: MiningParams, *, exact_readout: bool = False) -> MiningResult:
+                 params: MiningParams, *, exact_readout: bool = False,
+                 problem: SearchProblem | None = None) -> MiningResult:
     """Run the full search and return a classically verified result.
 
     With a solution-count hint the optimal iteration count is used
@@ -366,23 +378,34 @@ def mine_quantum(header_blocks: Sequence[int], layout: RegisterLayout,
     max_grover_rounds * ceil(pi/4 * sqrt(2^n)) is exhausted — failure
     then may mean no solution exists.
 
+    Readout does not change the amplitudes, and each round's budget is at
+    least the last one's, so one state is carried across the rounds and
+    advanced by the difference: a header simulates max k_t iterations,
+    although ``grover_iterations_used`` reports sum k_t, the cost of
+    restarting every round as a device must.
+
     ``exact_readout`` replaces sampling with the argmax-probability
     nonce for deterministic runs; sampling uses params.rng_seed.
+    ``problem`` is the header's ``SearchProblem``, when the caller has
+    built it already.
     """
     n = len(layout.nonce)
     hp = params.hash_params
     zeros = params.difficulty_zeros
-    problem = SearchProblem.build(header_blocks, layout, hp, zeros)
+    if problem is None:
+        problem = SearchProblem.build(header_blocks, layout, hp, zeros)
+    prefix = header_prefix(header_blocks, hp)
+    amplitudes = problem.prepared()
     rng = np.random.default_rng(params.rng_seed)
 
-    def run_round(num_iterations: int) -> tuple[int, float, Digest, bool]:
-        dist = problem.run(problem.prepared(), num_iterations)
+    def run_round(more_iterations: int) -> tuple[int, float, Digest, bool]:
+        dist = problem.run(amplitudes, more_iterations)
         solution_mass = float(dist[problem.marked].sum())
         if exact_readout:
             value = int(np.argmax(dist))
         else:
             value = int(rng.choice(len(dist), p=dist / dist.sum()))
-        digest = hash_classical(list(header_blocks) + [value], hp)
+        digest = hash_classical([prefix ^ value], hp)
         return value, solution_mass, digest, digest.meets_difficulty(zeros)
 
     def result(value, digest, ok, used, mass, hashes) -> MiningResult:
@@ -406,12 +429,14 @@ def mine_quantum(header_blocks: Sequence[int], layout: RegisterLayout,
     budget_cap = params.max_grover_rounds * math.ceil(math.pi / 4 * math.sqrt(1 << n))
     used = 0
     hashes = 0
+    k_last = 0
     t = 0
     while True:
         k_t = math.ceil(UNKNOWN_COUNT_GROWTH ** t)
-        value, mass, digest, ok = run_round(k_t)
+        value, mass, digest, ok = run_round(k_t - k_last)
         used += k_t
         hashes += 1
         if ok or used > budget_cap:
             return result(value, digest, ok, used, mass, hashes)
+        k_last = k_t
         t += 1

@@ -129,12 +129,17 @@ def hash_classical(message_blocks: Sequence[int], params: HashParams) -> Digest:
         raise ValueError("message must contain at least one block")
     state = 0
     for block in message_blocks:
-        if not 0 <= block <= params.mask:
-            raise ValueError(f"block {block:#x} does not fit in "
-                             f"{params.digest_bits} bits")
-        state ^= block
+        state ^= check_block(block, params)
         state = permute(state, params)
     return Digest(state, params.digest_bits)
+
+
+def check_block(block: int, params: HashParams) -> int:
+    """``block`` itself if it fits one sponge block, else ValueError."""
+    if not 0 <= block <= params.mask:
+        raise ValueError(f"block {block:#x} does not fit in "
+                         f"{params.digest_bits} bits")
+    return block
 
 
 # -- reversible-circuit realization --------------------------------------------
@@ -191,9 +196,7 @@ def _emit_absorbs(circuit: Circuit, layout: "RegisterLayout",
     xs, nonce_cnots, rounds = _shared_gates(layout.nonce, layout.hash, params, service)
     # header_blocks may be empty: the nonce block below is always absorbed
     for block in header_blocks:
-        if not 0 <= block <= params.mask:
-            raise ValueError(f"block {block:#x} does not fit in "
-                             f"{params.digest_bits} bits")
+        check_block(block, params)
         circuit.extend([x for i, x in enumerate(xs) if (block >> i) & 1])
         circuit.extend(rounds)
     # the nonce is always the final block, so the header prefix above is

@@ -6,11 +6,11 @@ import math
 
 import numpy as np
 
-from qmine import (Circuit, Gate, MiningParams, MiningResult, RegisterLayout,
-                   StateVector, build_diffusion, build_hash_circuit, build_oracle,
-                   emit_rotate_left, enumerate_solutions, grover_iteration,
-                   hash_classical, invert, iteration_count, new_zero_state,
-                   prepare, round_constant)
+from qmine import (Circuit, Digest, Gate, MiningParams, MiningResult,
+                   RegisterLayout, StateVector, build_diffusion, build_hash_circuit,
+                   build_oracle, emit_rotate_left, enumerate_solutions,
+                   grover_iteration, hash_classical, invert, iteration_count,
+                   new_zero_state, prepare, round_constant)
 from qmine.miner import UNKNOWN_COUNT_GROWTH
 from qmine.toyhash import GOLDEN_RATIO_32, HashParams
 
@@ -77,6 +77,29 @@ def reference_hash_circuit(layout: RegisterLayout, header_blocks,
     for j in range(params.rounds):
         emit_round(j)
     return circuit
+
+
+def reference_enumerate_solutions(header_blocks, hash_params: HashParams,
+                                  nonce_bits: int, zeros: int) -> list[int]:
+    """``enumerate_solutions`` hashing the whole header again for every nonce."""
+    return [v for v in range(1 << nonce_bits)
+            if hash_classical(list(header_blocks) + [v], hash_params)
+            .meets_difficulty(zeros)]
+
+
+def reference_mine_classical(header_blocks, params: MiningParams,
+                             nonce_bits: int) -> MiningResult:
+    """``mine_classical`` hashing the whole header again for every nonce."""
+    hp = params.hash_params
+    digest = Digest(0, hp.digest_bits)
+    for value in range(1 << nonce_bits):
+        digest = hash_classical(list(header_blocks) + [value], hp)
+        if digest.meets_difficulty(params.difficulty_zeros):
+            return MiningResult(value, format(value, f"0{nonce_bits}b"), digest,
+                                True, 0, 1.0, 0, value + 1)
+    last = (1 << nonce_bits) - 1
+    return MiningResult(last, format(last, f"0{nonce_bits}b"), digest,
+                        False, 0, 0.0, 0, 1 << nonce_bits)
 
 
 def find_header_with_count(nonce_bits: int, params: HashParams, zeros: int,

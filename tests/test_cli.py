@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmine import (Block, BlockHeader, HashParams, enumerate_solutions,
-                   estimate_resources, hash_classical, load_chain)
+from qmine import (Block, BlockHeader, HashParams, SearchProblem,
+                   enumerate_solutions, estimate_resources, hash_classical,
+                   load_chain)
 from qmine import cli
 from qmine.chain import Chain, save_chain
 from qmine.cli import EXIT_EXHAUSTED, EXIT_INVALID_CHAIN, EXIT_OK, EXIT_USAGE, main
@@ -147,6 +148,23 @@ class TestMineCommand:
         assert text.startswith("# hash\n")
         assert "# oracle" in text and "# diffusion" in text
         assert "MCX" in text and "SWAP" in text
+
+    def test_dump_circuits_builds_one_search_problem(self, tmp_path, capsys,
+                                                     monkeypatch):
+        builds = []
+        build = SearchProblem.build
+
+        def counting(*args):
+            builds.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(SearchProblem, "build", staticmethod(counting))
+        code = main(["mine", *BASE, "--payload", "5a", "--timestamp", "3",
+                     "--mode", "quantum", "--dump-circuits",
+                     str(tmp_path / "circuits.txt")])
+        capsys.readouterr()
+        assert code == EXIT_OK
+        assert len(builds) == 1
 
     def test_dump_circuits_golden(self, tmp_path, capsys):
         # hash, oracle and diffusion of (4, 8, 2) at zeros 4, frozen byte for byte

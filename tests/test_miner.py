@@ -1,15 +1,20 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qmine import (Gate, HashParams, MiningParams, RegisterLayout, SearchProblem,
                    StateVector, analytic_success_probability, apply_circuit, assignment_for,
                    build_diffusion, build_hash_circuit, build_oracle,
                    enumerate_solutions, format_circuit, grover_iteration,
-                   hash_classical, invert, iteration_count, mine_quantum,
-                   new_zero_state, prepare)
+                   hash_classical, invert, iteration_count, mine_classical,
+                   mine_quantum, new_zero_state, prepare)
 import qmine.miner
+from qmine.miner import UNKNOWN_COUNT_GROWTH, header_prefix
 from helpers import (find_header_with_count, max_global_phase_deviation,
-                     reference_hash_circuit, reference_mine_quantum,
+                     reference_enumerate_solutions, reference_hash_circuit,
+                     reference_mine_classical, reference_mine_quantum,
                      simulated_gates_per_iteration)
 
 HP82 = HashParams(8, 2)
@@ -578,3 +583,95 @@ class TestNonceAxisEngine:
         with pytest.raises(ValueError, match="hash and service registers"):
             SearchProblem.build([0x51, 0x3B, 0x00, 0x07],
                                 RegisterLayout.standard(4, 8), HP82, 3)
+
+
+class TestCarriedState:
+    """One state per header, advanced by each round's extra budget."""
+
+    @pytest.fixture
+    def asked(self, monkeypatch):
+        asked = []
+        run = SearchProblem.run
+
+        def spy(problem, b, iterations):
+            asked.append(iterations)
+            return run(problem, b, iterations)
+
+        monkeypatch.setattr(SearchProblem, "run", spy)
+        return asked
+
+    def test_unknown_count_simulates_the_last_budget(self, asked):
+        # no solution, so every round up to the budget cap runs
+        header, _ = find_header_with_count(4, HP82, 8, 0, seed=4)
+        result = mine_quantum(header, RegisterLayout.standard(4, 8),
+                              MiningParams(8, HP82, rng_seed=5))
+        budgets = [math.ceil(UNKNOWN_COUNT_GROWTH ** t)
+                   for t in range(result.hashes_tried)]
+        assert len(asked) == len(budgets) > 2
+        assert sum(asked) == budgets[-1]
+        assert result.grover_iterations_used == sum(budgets)
+
+    def test_hint_runs_once(self, asked):
+        header, _ = find_header_with_count(4, HP82, 4, 1, seed=2)
+        result = mine_quantum(header, RegisterLayout.standard(4, 8),
+                              MiningParams(4, HP82, solution_count_hint=1))
+        assert asked == [result.grover_iterations_used] == [iteration_count(4, 1)]
+
+
+def outcome(fn, *args):
+    """``fn(*args)``, or the message of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+class TestHeaderPrefix:
+    """Both classical miners hash the header once, then one block per nonce."""
+
+    @pytest.mark.parametrize("true_chi", [False, True])
+    @pytest.mark.parametrize("rounds", [1, 2, 8])
+    @pytest.mark.parametrize("m", range(4, 17))
+    @given(data=st.data())
+    @settings(derandomize=True, deadline=None, max_examples=5)
+    def test_prefix_absorbs_the_header(self, m, rounds, true_chi, data):
+        hp = HashParams(m, rounds, true_chi)
+        block = st.integers(0, hp.mask)
+        for length in range(5):
+            header = data.draw(st.lists(block, min_size=length, max_size=length))
+            v = data.draw(block)
+            assert hash_classical([header_prefix(header, hp) ^ v], hp) == \
+                hash_classical(header + [v], hp)
+
+    @pytest.mark.parametrize("n, m, rounds, true_chi",
+                             [(4, 8, 2, False), (3, 5, 1, True), (6, 10, 3, False),
+                              (5, 16, 2, True), (3, 4, 8, False)])
+    def test_miners_equal_the_whole_header_loops(self, n, m, rounds, true_chi):
+        hp = HashParams(m, rounds, true_chi)
+        rng = np.random.default_rng([n, m, rounds])
+        solvable = set()
+        for length in range(5):
+            header = [int(b) for b in rng.integers(0, hp.mask + 1, size=length)]
+            for zeros in range(max(0, n - 1), min(m, n + 3) + 1):
+                solutions = enumerate_solutions(header, hp, n, zeros)
+                assert solutions == reference_enumerate_solutions(header, hp, n, zeros)
+                params = MiningParams(zeros, hp)
+                assert mine_classical(header, params, n) == \
+                    reference_mine_classical(header, params, n)
+                solvable.add(bool(solutions))
+        assert solvable == {False, True}
+
+    @pytest.mark.parametrize("header", [[], [0x3], [0x9, 0x0, 0xF, 0x4]])
+    def test_nonce_wider_than_the_digest(self, header):
+        # enumeration reaches nonce 0x10 and must name it; the brute-force
+        # miner stops first, since the permutation maps the 16 one-block
+        # inputs onto every digest, the all-zero one included
+        hp, n = HashParams(4, 2), 6
+        for zeros in range(5):
+            error = outcome(enumerate_solutions, header, hp, n, zeros)
+            assert error == outcome(reference_enumerate_solutions, header, hp, n, zeros)
+            assert error == "ValueError: block 0x10 does not fit in 4 bits"
+            params = MiningParams(zeros, hp)
+            result = mine_classical(header, params, n)
+            assert result.success
+            assert result == reference_mine_classical(header, params, n)
