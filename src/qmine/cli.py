@@ -90,7 +90,6 @@ RUN_OPTIONS = (  # flags of mine and sweep
          help="derive zeros as n+1 (expected half a solution)"),
     _opt("true_chi", False, json_bool, action=_BOOL,
          help="use the inverted-operand chi nonlinearity"),
-    _opt("seed", 0, _non_negative, type=int, help="rng seed for measurements"),
     _opt("prev", "0", _hex, help="previous digest, hex"),
     _opt("payload", "0", _hex, help="payload digest, hex"),
     _opt("timestamp", 0, json_int, type=int, help="header timestamp"),
@@ -101,6 +100,7 @@ RUN_OPTIONS = (  # flags of mine and sweep
 
 MINE_OPTIONS = (  # flags of mine; sweep reads them from its config file too
     _opt("mode", "both", str, choices=("classical", "quantum", "both")),
+    _opt("seed", 0, _non_negative, type=int, help="rng seed for measurements"),
     _opt("exact", False, json_bool, action=_BOOL,
          help="deterministic argmax readout instead of sampling"),
     _opt("max_grover_rounds", 3, json_int, type=int,

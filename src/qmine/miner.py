@@ -25,8 +25,8 @@ import numpy as np
 from .circuit import Circuit, Gate, apply_circuit, invert
 # new_zero_state stays bound here for tracers that wrap miner.new_zero_state
 from .statevector import _SQRT1_2, StateVector, new_zero_state, permute_labels
-from .toyhash import (Digest, HashParams, build_hash_circuit, check_block,
-                      hash_classical)
+from .toyhash import (Digest, HashParams, _shared_gates, build_hash_circuit,
+                      check_block, hash_classical)
 
 UNKNOWN_COUNT_GROWTH = 6 / 5  # per-round budget ratio when the solution count is unknown
 MAX_ESTIMATE_BITS = 1023  # the estimator's counts must convert to finite floats
@@ -205,8 +205,8 @@ class SearchProblem:
         diffusion, steps = _cached_diffusion(layout)
         nonces = np.arange(1 << len(layout.nonce))
         functional = 1 << layout.functional
-        labels = permute_labels(nonces, hash_circuit.gates + oracle.gates
-                                + hash_inverse.gates)
+        labels = fused_permute_labels(nonces, hash_circuit.gates + oracle.gates
+                                      + hash_inverse.gates, layout, hash_params)
         if np.any((labels & ~functional) != nonces):
             raise ValueError("hash, oracle and unhash must return every nonce "
                              "with the hash and service registers at |0...0>")
@@ -261,6 +261,56 @@ def _cached_diffusion(layout: RegisterLayout) -> tuple[Circuit, tuple]:
             steps.append(permute_labels(nonces, run[::-1]))
             steps[-1].setflags(write=False)
     return diffusion, tuple(steps)
+
+
+@lru_cache(maxsize=8)
+def _cached_round_tables(layout: RegisterLayout, hash_params: HashParams) -> tuple:
+    """The r-round gate block that every hash circuit for these parameters
+    repeats, and the permutations of the hash register's 2^m values that
+    the block and its reverse apply."""
+    block = _shared_gates(layout.nonce, layout.hash, hash_params, ())[2]
+    return (block, _register_table(block, layout.hash),
+            _register_table(block[::-1], layout.hash))
+
+
+def _register_table(gates: Sequence[Gate], register: Sequence[int]) -> np.ndarray:
+    """Entry v is the value that X/SWAP/MCX ``gates`` move value v of the
+    contiguous ``register`` to, read off the gates in one pass over all
+    2^len(register) values; read-only, in the narrowest unsigned dtype."""
+    low, width = register[0], len(register)
+    if any(g.mask >> low + width or g.mask & (1 << low) - 1 for g in gates):
+        raise ValueError("the gate block acts outside the hash register")
+    values = permute_labels(np.arange(1 << width) << low, gates) >> low
+    table = values.astype(np.min_scalar_type((1 << width) - 1))
+    table.setflags(write=False)
+    return table
+
+
+def fused_permute_labels(labels: np.ndarray, gates: list, layout: RegisterLayout,
+                         hash_params: HashParams) -> np.ndarray:
+    """``permute_labels(labels, gates)``, except that each slice of ``gates``
+    equal to the cached round block, or to its reverse, is one gather of
+    the labels' hash field through that block's table."""
+    block, forward, backward = _cached_round_tables(layout, hash_params)
+    low, mask = layout.hash[0], len(forward) - 1
+    size, reverse = len(block), block[::-1]
+    # a header's circuits splice the cached block itself, so a slice
+    # compares equal on identity; any other gate list is still exact
+    start = i = 0
+    while i < len(gates):
+        if gates[i] is block[0] and tuple(gates[i:i + size]) == block:
+            table = forward
+        elif gates[i] is reverse[0] and tuple(gates[i:i + size]) == reverse:
+            table = backward
+        else:
+            i += 1
+            continue
+        if start < i:
+            labels = permute_labels(labels, gates[start:i])
+        values = labels >> low & mask
+        labels = labels ^ (table[values] ^ values) << low
+        start = i = i + size
+    return permute_labels(labels, gates[start:]) if start < len(gates) else labels
 
 
 def _butterfly(b: np.ndarray, bit: int) -> None:

@@ -43,15 +43,22 @@ class MeasurementOutcome:
 
 
 class _Rows(dict):
-    """Bit-sliced basis labels: bit j of row k is bit k of label j."""
+    """Bit-sliced basis labels: bit j of row k is bit k of label j.  The eight
+    rows of a byte of the labels are transposed together, on first use of one."""
 
     def __init__(self, labels: np.ndarray):
         super().__init__()
-        self.labels, self.read = labels, {}
+        self.labels, self.read, self.bytes = labels, {}, {}
 
     def __missing__(self, k: int) -> int:
-        row = self[k] = self.read[k] = int.from_bytes(  # read on first use
-            np.packbits(self.labels & (1 << k), bitorder="little"), "little")
+        byte, size = k >> 3, -(-len(self.labels) // 8)
+        if byte not in self.bytes:
+            bits = np.unpackbits(self.labels.view(np.uint8)[byte::8], bitorder="little")
+            self.bytes[byte] = np.packbits(np.ascontiguousarray(bits.reshape(-1, 8).T),
+                                           axis=1, bitorder="little").tobytes()
+        i = (k & 7) * size
+        row = self[k] = self.read[k] = int.from_bytes(self.bytes[byte][i:i + size],
+                                                      "little")
         return row
 
 
@@ -60,6 +67,7 @@ def permute_labels(labels: np.ndarray, gates: Iterable[Gate]) -> np.ndarray:
     applied in order."""
     # each row operation acts on every label at once; X only toggles
     # bit k of ``flips``, the pending complement of row k
+    labels = np.ascontiguousarray(labels, dtype="<i8")
     ones, rows, flips = (1 << len(labels)) - 1, _Rows(labels), 0
     for gate in gates:
         t = gate.targets[0]
@@ -77,12 +85,15 @@ def permute_labels(labels: np.ndarray, gates: Iterable[Gate]) -> np.ndarray:
         else:
             raise ValueError(f"{gate.kind} is not a permutation gate")
     out = labels ^ flips
-    for k, row in rows.items():
-        if row != rows.read[k]:
-            diff = (row ^ rows.read[k]).to_bytes(-(-len(labels) // 8), "little")
-            bits = np.unpackbits(np.frombuffer(diff, np.uint8),
-                                 count=len(labels), bitorder="little")
-            np.bitwise_xor(out, 1 << k, out=out, where=bits.view(bool))
+    size = -(-len(labels) // 8)
+    changed = sorted(k for k, row in rows.items() if row != rows.read[k])
+    for byte, ks in groupby(changed, key=lambda k: k >> 3):
+        ks = list(ks)  # this byte's changed rows, folded back by a matrix product
+        diff = b"".join((rows[k] ^ rows.read[k]).to_bytes(size, "little") for k in ks)
+        bits = np.unpackbits(np.frombuffer(diff, np.uint8).reshape(len(ks), size),
+                             axis=1, count=len(labels), bitorder="little")
+        weights = np.array([1 << (k & 7) for k in ks], np.uint8)
+        out.view(np.uint8)[byte::8] ^= weights @ bits
     return out
 
 

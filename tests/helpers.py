@@ -12,6 +12,7 @@ from qmine import (Circuit, Digest, Gate, MiningParams, MiningResult,
                    grover_iteration, hash_classical, invert, iteration_count,
                    new_zero_state, prepare, round_constant)
 from qmine.miner import UNKNOWN_COUNT_GROWTH
+from qmine.statevector import permute_labels
 from qmine.toyhash import GOLDEN_RATIO_32, HashParams
 
 
@@ -77,6 +78,18 @@ def reference_hash_circuit(layout: RegisterLayout, header_blocks,
     for j in range(params.rounds):
         emit_round(j)
     return circuit
+
+
+def reference_compile(header_blocks, layout: RegisterLayout, params: HashParams,
+                      zeros: int) -> tuple[np.ndarray, np.ndarray]:
+    """The labels that hash, oracle and unhash move the 2^n nonces to, in one
+    ``permute_labels`` pass over every gate, and the marked mask read off
+    them: ``SearchProblem.build`` without the fused round blocks."""
+    hash_circuit = build_hash_circuit(layout, list(header_blocks), params)
+    labels = permute_labels(np.arange(1 << len(layout.nonce)),
+                            hash_circuit.gates + build_oracle(layout, zeros).gates
+                            + invert(hash_circuit).gates)
+    return labels, (labels & (1 << layout.functional)) != 0
 
 
 def reference_enumerate_solutions(header_blocks, hash_params: HashParams,

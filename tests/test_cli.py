@@ -50,7 +50,8 @@ def valid_chain(length=2):
 
 
 DATA = Path(__file__).parent / "data"
-BASE = ["--n", "4", "--m", "8", "--rounds", "2", "--zeros", "4", "--seed", "1"]
+SWEEP_BASE = ["--n", "4", "--m", "8", "--rounds", "2", "--zeros", "4"]
+BASE = [*SWEEP_BASE, "--seed", "1"]
 
 
 class TestMineCommand:
@@ -198,8 +199,8 @@ OPTION_VALUES = {"n": 3, "m": 9, "rounds": 1, "zeros": 2, "true_chi": True, "see
                  "hash_rate": 1e6, "gate_time": 2e-9, "gates_per_iteration": 5,
                  "measured": True, "measure_n": 3}
 RUN_CONFIG = {"n": 4, "m": 8, "rounds": 2, "zeros": 1, "payload": "00", "timestamp": 3}
-# a sweep reads exact probabilities, and chi's operand inversion costs no gates
-UNSEEN_IN_STDOUT = {("sweep", "seed"), ("estimate", "true_chi")}
+# chi's operand inversion costs no gates
+UNSEEN_IN_STDOUT = {("estimate", "true_chi")}
 
 
 def config_keys(*tables):
@@ -349,7 +350,7 @@ class TestMalformedInput:
 
     def test_negative_k_max(self, tmp_path, capsys):
         csv_file = tmp_path / "sweep.csv"
-        self.assert_usage_error(capsys, ["sweep", *BASE, "--k-max", "-1",
+        self.assert_usage_error(capsys, ["sweep", *SWEEP_BASE, "--k-max", "-1",
                                          "--csv-out", str(csv_file)], "k_max")
         assert not csv_file.exists()
 
@@ -470,7 +471,7 @@ class TestSweepCommand:
 
     def test_deterministic_output(self, capsys):
         payload, ts, _ = find_cli_header(4, 8, 2, 4, 1)
-        args = ["sweep", *BASE, "--payload", format(payload, "x"),
+        args = ["sweep", *SWEEP_BASE, "--payload", format(payload, "x"),
                 "--timestamp", str(ts), "--k-max", "4"]
         main(args)
         first = capsys.readouterr().out
@@ -478,10 +479,29 @@ class TestSweepCommand:
         second = capsys.readouterr().out
         assert first == second and first.startswith("k,")
 
+    def test_seed_flag_is_a_usage_error(self, capsys):
+        # a sweep reports exact probabilities: no seed can change it
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", *SWEEP_BASE, "--seed", "1"])
+        assert exit_info.value.code == EXIT_USAGE
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+    def test_config_may_carry_mine_keys(self, tmp_path, capsys):
+        # one config file serves mine and sweep, as it does for mode
+        payload, ts, _ = find_cli_header(4, 8, 2, 4, 1)
+        args = ["sweep", *SWEEP_BASE, "--payload", format(payload, "x"),
+                "--timestamp", str(ts), "--k-max", "3"]
+        assert main(args) == EXIT_OK
+        plain = capsys.readouterr().out
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"seed": 7, "mode": "quantum"}))
+        assert main([*args, "--config", str(config)]) == EXIT_OK
+        assert capsys.readouterr().out == plain
+
     def test_csv_file_output(self, tmp_path, capsys):
         payload, ts, _ = find_cli_header(4, 8, 2, 4, 1)
         out_file = tmp_path / "sweep.csv"
-        code = main(["sweep", *BASE, "--payload", format(payload, "x"),
+        code = main(["sweep", *SWEEP_BASE, "--payload", format(payload, "x"),
                      "--timestamp", str(ts), "--k-max", "3",
                      "--csv-out", str(out_file)])
         capsys.readouterr()

@@ -12,7 +12,9 @@ from qmine import (Gate, HashParams, MiningParams, RegisterLayout, SearchProblem
                    mine_quantum, new_zero_state, prepare)
 import qmine.miner
 from qmine.miner import UNKNOWN_COUNT_GROWTH, header_prefix
+from qmine.statevector import permute_labels
 from helpers import (find_header_with_count, max_global_phase_deviation,
+                     random_circuit, reference_compile,
                      reference_enumerate_solutions, reference_hash_circuit,
                      reference_mine_classical, reference_mine_quantum,
                      simulated_gates_per_iteration)
@@ -583,6 +585,120 @@ class TestNonceAxisEngine:
         with pytest.raises(ValueError, match="hash and service registers"):
             SearchProblem.build([0x51, 0x3B, 0x00, 0x07],
                                 RegisterLayout.standard(4, 8), HP82, 3)
+
+
+def iteration_gates(header, layout, params, zeros):
+    """Hash, oracle and unhash of one header, as ``SearchProblem.build`` joins them."""
+    hash_circuit = build_hash_circuit(layout, header, params)
+    return (hash_circuit.gates + build_oracle(layout, zeros).gates
+            + invert(hash_circuit).gates)
+
+
+class TestFusedCompile:
+    """The compile gathers each cached round block through its table and
+    must equal one ``permute_labels`` pass over every gate."""
+
+    @pytest.mark.parametrize("m", range(4, 17))
+    @pytest.mark.parametrize("rounds", [1, 2, 8])
+    @pytest.mark.parametrize("true_chi", [False, True])
+    @given(data=st.data())
+    @settings(derandomize=True, deadline=None, max_examples=2)
+    def test_equals_one_pass(self, m, rounds, true_chi, data):
+        params = HashParams(m, rounds, true_chi)
+        for n in range(1, min(m, 8) + 1):
+            layout = RegisterLayout.standard(n, m)
+            header = data.draw(st.lists(st.integers(0, params.mask), max_size=4))
+            zeros = data.draw(st.integers(0, m))
+            labels, marked = reference_compile(header, layout, params, zeros)
+            fused = qmine.miner.fused_permute_labels(
+                np.arange(1 << n), iteration_gates(header, layout, params, zeros),
+                layout, params)
+            assert np.array_equal(fused, labels)
+            assert np.array_equal(
+                SearchProblem.build(header, layout, params, zeros).marked, marked)
+
+    def test_every_round_block_is_one_gather(self, monkeypatch):
+        # 2 * (4 + 1) round blocks at (4, 12, 2); only the X runs, the
+        # nonce CNOTs and the oracle reach permute_labels
+        layout, params = RegisterLayout.standard(4, 12), HashParams(12, 2)
+        header = [0x5A1, 0x003, 0xFFF, 0x800]
+        SearchProblem.build(header, layout, params, 4)  # fills the caches
+        block = qmine.miner._cached_round_tables(layout, params)[0]
+        evaluated = []
+
+        def spy(labels, gates):
+            evaluated.extend(gates)
+            return permute_labels(labels, gates)
+
+        monkeypatch.setattr(qmine.miner, "permute_labels", spy)
+        gates = iteration_gates(header, layout, params, 4)
+        problem = SearchProblem.build(header, layout, params, 4)
+        assert len(evaluated) == len(gates) - 10 * len(block)
+        assert {id(gate) for gate in evaluated}.isdisjoint(map(id, block))
+        assert np.array_equal(problem.marked,
+                              reference_compile(header, layout, params, 4)[1])
+
+    LAYOUT, PARAMS = RegisterLayout.standard(3, 6), HashParams(6, 2, True)
+
+    def splice(self, name):
+        layout = self.LAYOUT
+        block = list(qmine.miner._cached_round_tables(layout, self.PARAMS)[0])
+        reverse = block[::-1]
+        h, functional = layout.hash, layout.functional
+        stray = [Gate.x(h[2]), Gate.cnot(0, h[1]), Gate.swap(h[0], h[5]),
+                 Gate.mcx([(h[4], False), (1, True)], functional)]
+        i = len(block) // 2
+        copy = Gate(block[i].kind, block[i].targets, block[i].controls)
+        return {
+            "replaced": block[:i] + [Gate.cnot(0, h[3])] + block[i + 1:],
+            "replaced-first": [Gate.x(h[0])] + block[1:] + reverse,
+            "replaced-by-equal": block[:i] + [copy] + block[i + 1:] + reverse,
+            "dropped": block[:i] + block[i + 1:] + reverse,
+            "truncated-at-end": block + stray + block[:-3],
+            "back-to-back": block + block + reverse + reverse,
+            "stray-between": stray[:2] + block + stray + block + stray[2:] + reverse,
+        }[name]
+
+    @pytest.mark.parametrize("name", ["replaced", "replaced-first", "replaced-by-equal",
+                                      "dropped", "truncated-at-end", "back-to-back",
+                                      "stray-between"])
+    def test_spliced_gate_lists(self, name):
+        rng = np.random.default_rng(7)
+        labels = rng.integers(0, 1 << self.LAYOUT.total_qubits, size=64)
+        gates = self.splice(name)
+        assert np.array_equal(
+            qmine.miner.fused_permute_labels(labels, gates, self.LAYOUT, self.PARAMS),
+            permute_labels(labels, gates))
+
+    @given(data=st.data())
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    def test_random_splices(self, data):
+        layout, params = self.LAYOUT, self.PARAMS
+        block = list(qmine.miner._cached_round_tables(layout, params)[0])
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        gates = []
+        for _ in range(data.draw(st.integers(1, 6))):
+            part = data.draw(st.sampled_from(["block", "reverse", "cut", "stray"]))
+            if part == "stray":
+                gates += random_circuit(layout.total_qubits, 3, rng,
+                                        kinds=("X", "SWAP", "MCX")).gates
+            elif part == "cut":
+                start = data.draw(st.integers(0, len(block) - 1))
+                gates += block[start:data.draw(st.integers(start, len(block)))]
+            else:
+                gates += block if part == "block" else block[::-1]
+        labels = rng.integers(0, 1 << layout.total_qubits, size=32)
+        assert np.array_equal(
+            qmine.miner.fused_permute_labels(labels, gates, layout, params),
+            permute_labels(labels, gates))
+
+    def test_a_block_outside_the_hash_register_is_rejected(self):
+        layout = RegisterLayout.standard(2, 4)  # nonce 0-1, hash 2-5, functional 6
+        inside = [Gate.cnot(2, 5), Gate.swap(3, 4), Gate.x(2)]
+        assert qmine.miner._register_table(inside, layout.hash).dtype == np.uint8
+        for outside in (Gate.x(1), Gate.cnot(0, 3), Gate.cnot(5, 6), Gate.swap(5, 6)):
+            with pytest.raises(ValueError, match="outside the hash register"):
+                qmine.miner._register_table(inside + [outside], layout.hash)
 
 
 class TestCarriedState:

@@ -9,6 +9,7 @@ from qmine import (Gate, HashParams, RegisterLayout, apply_circuit,
                    assignment_for, build_hash_circuit,
                    build_hash_circuit_outofplace, format_circuit, hash_classical,
                    invert, new_zero_state)
+from qmine.miner import _cached_round_tables
 from qmine.toyhash import permute, round_constant
 from helpers import (hash_oracle, permute_oracle, reference_hash_circuit,
                      set_register)
@@ -216,6 +217,23 @@ class TestHashCircuit:
             joint.update(assignment_for(layout.hash, want))
             assert state.probability_of(joint) == pytest.approx(
                 1 / (1 << n), abs=1e-12)
+
+
+class TestRoundTables:
+    """The r-round gate block, read off the circuit as a table over every
+    m-bit state, is the sponge permutation."""
+
+    @pytest.mark.parametrize("m, rounds", [(m, r) for m in range(4, 13) for r in (1, 2, 8)]
+                             + [(m, 2) for m in range(13, 17)])
+    @pytest.mark.parametrize("true_chi", [False, True])
+    def test_tables_equal_the_sponge(self, m, rounds, true_chi):
+        params = HashParams(m, rounds, true_chi)
+        _, forward, backward = _cached_round_tables(RegisterLayout.standard(1, m), params)
+        assert forward.tolist() == [permute(v, params) for v in range(1 << m)]
+        assert np.array_equal(backward[forward], np.arange(1 << m))
+        for table in (forward, backward):
+            assert table.dtype == (np.uint8 if m <= 8 else np.uint16)
+            assert not table.flags.writeable
 
 
 class TestHashCircuitOutOfPlace:
