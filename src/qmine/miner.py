@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import groupby
 from typing import Sequence
 
 import numpy as np
@@ -133,8 +132,9 @@ def build_oracle(layout: RegisterLayout, zeros: int) -> Circuit:
 
 def build_diffusion(layout: RegisterLayout) -> Circuit:
     """Reflection about the uniform superposition, acting only on the
-    nonce register: H^n X^n (H MCX H on the last qubit) X^n H^n, equal to
-    2|s><s| - 1 up to global phase."""
+    nonce register: H^n X^n (H MCX H on the last qubit) X^n H^n.  H MCX H
+    is a phase flip on |1...1>, so the circuit is exactly 1 - 2|s><s|, the
+    operator ``SearchProblem.run`` applies as b - 2 mean(b)."""
     nonce = layout.nonce
     n = len(nonce)
     if n == 0:
@@ -184,9 +184,10 @@ class SearchProblem:
 
     Between iterations the state is sum_v b_v |v>|0...0>|-> (its functional
     |1> branch is exactly -b), so hash, oracle and unhash only negate b on
-    the ``marked`` nonces, read off the circuits at build.  ``run`` keeps
-    the 2^n amplitudes b and applies the diffusion as ``steps``: an H's
-    target bit, or the gather index of a run of X/SWAP/MCX gates."""
+    the ``marked`` nonces, read off the circuits at build.  The diffusion
+    circuit is 1 - 2|s><s| on the nonce register, so ``run`` keeps the 2^n
+    amplitudes b and applies it as b - 2 mean(b): one iteration is one
+    negation and one reflection about the mean."""
 
     layout: RegisterLayout
     hash_circuit: Circuit
@@ -194,7 +195,6 @@ class SearchProblem:
     oracle: Circuit
     diffusion: Circuit
     marked: np.ndarray
-    steps: tuple
 
     @staticmethod
     def build(header_blocks: Sequence[int], layout: RegisterLayout,
@@ -202,7 +202,7 @@ class SearchProblem:
         hash_circuit = build_hash_circuit(layout, header_blocks, hash_params)
         hash_inverse = invert(hash_circuit)
         oracle = _cached_oracle(layout, zeros)
-        diffusion, steps = _cached_diffusion(layout)
+        diffusion = _cached_diffusion(layout)
         nonces = np.arange(1 << len(layout.nonce))
         functional = 1 << layout.functional
         labels = fused_permute_labels(nonces, hash_circuit.gates + oracle.gates
@@ -210,11 +210,11 @@ class SearchProblem:
         if np.any((labels & ~functional) != nonces):
             raise ValueError("hash, oracle and unhash must return every nonce "
                              "with the hash and service registers at |0...0>")
-        # each problem owns its gate lists; the gather indices are read-only
+        # each problem owns its gate lists
         return SearchProblem(layout, hash_circuit, hash_inverse,
                              replace(oracle, gates=list(oracle.gates)),
                              replace(diffusion, gates=list(diffusion.gates)),
-                             (labels & functional) != 0, steps)
+                             (labels & functional) != 0)
 
     @property
     def gates_per_iteration(self) -> int:
@@ -233,11 +233,7 @@ class SearchProblem:
         return the distribution of the nonce register."""
         for _ in range(iterations):
             np.negative(b, out=b, where=self.marked)
-            for step in self.steps:
-                if isinstance(step, int):
-                    _butterfly(b, step)
-                else:
-                    b[:] = b[step]
+            b -= 2 * b.mean()
         p = b.real * b.real + b.imag * b.imag
         return p + p  # both functional branches, in the order readout adds them
 
@@ -248,19 +244,8 @@ def _cached_oracle(layout: RegisterLayout, zeros: int) -> Circuit:
 
 
 @lru_cache(maxsize=8)
-def _cached_diffusion(layout: RegisterLayout) -> tuple[Circuit, tuple]:
-    """The diffusion and the ``steps`` that ``SearchProblem.run`` applies for it."""
-    diffusion = build_diffusion(layout)
-    nonces = np.arange(1 << len(layout.nonce))
-    steps = []
-    for is_h, run in groupby(diffusion.gates, key=lambda g: g.kind == "H"):
-        run = list(run)  # every gate is self-inverse: gather by the reverse
-        if is_h:
-            steps += [g.targets[0] for g in run]
-        else:
-            steps.append(permute_labels(nonces, run[::-1]))
-            steps[-1].setflags(write=False)
-    return diffusion, tuple(steps)
+def _cached_diffusion(layout: RegisterLayout) -> Circuit:
+    return build_diffusion(layout)
 
 
 @lru_cache(maxsize=8)
@@ -311,12 +296,6 @@ def fused_permute_labels(labels: np.ndarray, gates: list, layout: RegisterLayout
         labels = labels ^ (table[values] ^ values) << low
         start = i = i + size
     return permute_labels(labels, gates[start:]) if start < len(gates) else labels
-
-
-def _butterfly(b: np.ndarray, bit: int) -> None:
-    pairs = b.reshape(-1, 2, 1 << bit)
-    x0, x1 = pairs[:, 0], pairs[:, 1]
-    pairs[:, 0], pairs[:, 1] = (x0 + x1) * _SQRT1_2, (x0 - x1) * _SQRT1_2
 
 
 # -- schedules and analysis ------------------------------------------------------
@@ -435,7 +414,12 @@ def mine_quantum(header_blocks: Sequence[int], layout: RegisterLayout,
     restarting every round as a device must.
 
     ``exact_readout`` replaces sampling with the argmax-probability
-    nonce for deterministic runs; sampling uses params.rng_seed.
+    nonce for deterministic runs; sampling uses params.rng_seed.  The
+    iterations leave every marked nonce with one probability and every
+    unmarked nonce with another, bit for bit, so exact readout returns the
+    lowest nonce of the more likely class: the lowest solution whenever it
+    succeeds.  Where the two classes are equally likely in exact arithmetic,
+    as at M = 2^n / 2, rounding decides between them.
     ``problem`` is the header's ``SearchProblem``, when the caller has
     built it already.
     """

@@ -194,15 +194,22 @@ def _emit_absorbs(circuit: Circuit, layout: "RegisterLayout",
                   header_blocks: Sequence[int], params: HashParams,
                   service: tuple[int, ...] = ()) -> None:
     xs, nonce_cnots, rounds = _shared_gates(layout.nonce, layout.hash, params, service)
+    # the shared gates act on these qubits alone: if the highest fits, the
+    # tuples are spliced without Circuit.extend's test of every gate
+    top = max(layout.nonce + layout.hash + service)
+    if top >= circuit.num_qubits:
+        raise IndexError(f"qubit {top} out of range for {circuit.num_qubits}-qubit "
+                         f"circuit {circuit.label!r}")
+    gates = circuit.gates
     # header_blocks may be empty: the nonce block below is always absorbed
     for block in header_blocks:
         check_block(block, params)
-        circuit.extend([x for i, x in enumerate(xs) if (block >> i) & 1])
-        circuit.extend(rounds)
+        gates += [x for i, x in enumerate(xs) if (block >> i) & 1]
+        gates += rounds
     # the nonce is always the final block, so the header prefix above is
     # nonce-independent and can be reused across mining attempts
-    circuit.extend(nonce_cnots)
-    circuit.extend(rounds)
+    gates += nonce_cnots
+    gates += rounds
 
 
 def build_hash_circuit(layout: "RegisterLayout", header_blocks: Sequence[int],

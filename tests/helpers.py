@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
+from itertools import groupby
 
 import numpy as np
 
 from qmine import (Circuit, Digest, Gate, MiningParams, MiningResult,
-                   RegisterLayout, StateVector, build_diffusion, build_hash_circuit,
-                   build_oracle, emit_rotate_left, enumerate_solutions,
+                   RegisterLayout, SearchProblem, StateVector, build_diffusion,
+                   build_hash_circuit, build_oracle, emit_rotate_left, enumerate_solutions,
                    grover_iteration, hash_classical, invert, iteration_count,
                    new_zero_state, prepare, round_constant)
 from qmine.miner import UNKNOWN_COUNT_GROWTH
@@ -274,7 +276,9 @@ def reference_mine_quantum(header_blocks, layout: RegisterLayout,
         dist = distribution(state, layout.nonce)
         mass = float(dist[solutions].sum()) if solutions else 0.0
         if exact_readout:
-            value = int(np.argmax(dist))
+            # the lowest nonce of the most likely class, whose members the
+            # gates leave unequal in their last bits
+            value = int(np.flatnonzero(dist >= dist.max() * (1 - 1e-9))[0])
         else:
             p = dist / dist.sum()
             value = int(rng.choice(p.shape[0], p=p))
@@ -297,6 +301,39 @@ def reference_mine_quantum(header_blocks, layout: RegisterLayout,
         used, hashes, t = used + k_t, hashes + 1, t + 1
         if digest.meets_difficulty(zeros) or used > budget_cap:
             return result(value, mass, digest, used, hashes)
+
+
+def assert_matches_reference(result: MiningResult, reference: MiningResult) -> None:
+    """Every field equal, except the solution mass: the reflection about the
+    mean and the gate-by-gate reference round it differently, to 1e-12."""
+    mass = reference.success_probability_at_measurement
+    assert abs(result.success_probability_at_measurement - mass) <= 1e-12
+    assert replace(result, success_probability_at_measurement=mass) == reference
+
+
+def reference_run(problem: SearchProblem, b: np.ndarray, iterations: int) -> np.ndarray:
+    """``SearchProblem.run`` with the diffusion circuit applied gate by gate to
+    the 2^n amplitudes: each H as a butterfly, each run of X/SWAP/MCX gates as
+    one gather.  It rounds as the dense state vector does, bit for bit."""
+    nonces = np.arange(len(b))
+    steps = []
+    for is_h, run in groupby(problem.diffusion.gates, key=lambda g: g.kind == "H"):
+        run = list(run)  # every gate is self-inverse: gather by the reverse
+        if is_h:
+            steps += [g.targets[0] for g in run]
+        else:
+            steps.append(permute_labels(nonces, run[::-1]))
+    for _ in range(iterations):
+        np.negative(b, out=b, where=problem.marked)
+        for step in steps:
+            if isinstance(step, int):
+                pairs = b.reshape(-1, 2, 1 << step)
+                x0, x1 = pairs[:, 0], pairs[:, 1]
+                pairs[:, 0], pairs[:, 1] = (x0 + x1) * _SQRT1_2, (x0 - x1) * _SQRT1_2
+            else:
+                b[:] = b[step]
+    p = b.real * b.real + b.imag * b.imag
+    return p + p
 
 
 def max_global_phase_deviation(a: np.ndarray, b: np.ndarray) -> float:

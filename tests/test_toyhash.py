@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmine import (Gate, HashParams, RegisterLayout, apply_circuit,
+from qmine import (Circuit, Gate, HashParams, RegisterLayout, apply_circuit,
                    assignment_for, build_hash_circuit,
                    build_hash_circuit_outofplace, format_circuit, hash_classical,
                    invert, new_zero_state)
 from qmine.miner import _cached_round_tables
-from qmine.toyhash import permute, round_constant
+from qmine.toyhash import _emit_absorbs, permute, round_constant
 from helpers import (hash_oracle, permute_oracle, reference_hash_circuit,
                      set_register)
 
@@ -336,3 +336,21 @@ class TestBuildersEqualReference:
         for bad in (16, -1):
             with pytest.raises(ValueError, match="does not fit"):
                 build_hash_circuit(layout, [0x3, bad], params)
+
+    @pytest.mark.parametrize("with_service", [False, True])
+    def test_shared_gates_checked_once_against_the_circuit(self, with_service):
+        # the cached tuples are spliced unchecked, so the absorb checks the
+        # highest qubit they use and names it, before any gate is added
+        layout, params = RegisterLayout.standard(2, 4, 4), HashParams(4, 1)
+        service = layout.service if with_service else ()
+        top = max(layout.hash + service)
+        for width in (top, 3):
+            circuit = Circuit(width, label="small")
+            with pytest.raises(IndexError, match=rf"qubit {top} out of range "
+                                                 rf"for {width}-qubit circuit 'small'"):
+                _emit_absorbs(circuit, layout, [0x3], params, service)
+            assert circuit.gates == []
+        circuit = Circuit(top + 1)
+        _emit_absorbs(circuit, layout, [0x3], params, service)
+        assert format_circuit(circuit) == format_circuit(
+            reference_hash_circuit(layout, [0x3], params, service))
