@@ -118,9 +118,12 @@ def compute_required_zeros(nonce_bits: int, digest_bits: int) -> int:
 
 
 def validate_block(block: Block, params: HashParams) -> ValidationReport:
+    """Digest and difficulty; a nonce that does not fit one sponge block is
+    reported as out of range and not hashed."""
     report = ValidationReport()
-    recomputed = header_digest(block.header, params)
-    if recomputed != block.digest:
+    if not 0 <= block.header.nonce <= params.mask:
+        report.reasons.append(REASON_NONCE_RANGE)
+    elif header_digest(block.header, params) != block.digest:
         report.reasons.append(REASON_DIGEST_MISMATCH)
     if not block.digest.meets_difficulty(block.header.difficulty_zeros):
         report.reasons.append(REASON_DIFFICULTY)
@@ -156,9 +159,11 @@ class Chain:
         self.blocks.append(block)
 
     def validate(self) -> ValidationReport:
+        """``validate_chain``, plus the nonces that fit a block but not
+        ``nonce_bits``: every out-of-range nonce is reported once."""
         report = validate_chain(self.blocks, self.hash_params)
         for i, block in enumerate(self.blocks):
-            if not 0 <= block.header.nonce < (1 << self.nonce_bits):
+            if 1 << self.nonce_bits <= block.header.nonce <= self.hash_params.mask:
                 report.reasons.append(f"block {i}: {REASON_NONCE_RANGE}")
         return report
 

@@ -252,10 +252,14 @@ def _cached_diffusion(layout: RegisterLayout) -> Circuit:
 def _cached_round_tables(layout: RegisterLayout, hash_params: HashParams) -> tuple:
     """The r-round gate block that every hash circuit for these parameters
     repeats, and the permutations of the hash register's 2^m values that
-    the block and its reverse apply."""
+    the block and its reverse apply.  Every gate is self-inverse, so the
+    reverse undoes the block and its table is the forward table's inverse."""
     block = _shared_gates(layout.nonce, layout.hash, hash_params, ())[2]
-    return (block, _register_table(block, layout.hash),
-            _register_table(block[::-1], layout.hash))
+    forward = _register_table(block, layout.hash)
+    backward = np.empty_like(forward)
+    backward[forward] = np.arange(len(forward), dtype=forward.dtype)
+    backward.setflags(write=False)
+    return block, forward, backward
 
 
 def _register_table(gates: Sequence[Gate], register: Sequence[int]) -> np.ndarray:

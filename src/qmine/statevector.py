@@ -42,59 +42,35 @@ class MeasurementOutcome:
     probability: float
 
 
-class _Rows(dict):
-    """Bit-sliced basis labels: bit j of row k is bit k of label j.  The eight
-    rows of a byte of the labels are transposed together, on first use of one."""
-
-    def __init__(self, labels: np.ndarray):
-        super().__init__()
-        self.labels, self.read, self.bytes = labels, {}, {}
-
-    def __missing__(self, k: int) -> int:
-        byte, size = k >> 3, -(-len(self.labels) // 8)
-        if byte not in self.bytes:
-            bits = np.unpackbits(self.labels.view(np.uint8)[byte::8], bitorder="little")
-            self.bytes[byte] = np.packbits(np.ascontiguousarray(bits.reshape(-1, 8).T),
-                                           axis=1, bitorder="little").tobytes()
-        i = (k & 7) * size
-        row = self[k] = self.read[k] = int.from_bytes(self.bytes[byte][i:i + size],
-                                                      "little")
-        return row
-
-
 def permute_labels(labels: np.ndarray, gates: Iterable[Gate]) -> np.ndarray:
     """The basis labels that ``labels`` move to under X/SWAP/MCX ``gates``,
-    applied in order."""
-    # each row operation acts on every label at once; X only toggles
-    # bit k of ``flips``, the pending complement of row k
-    labels = np.ascontiguousarray(labels, dtype="<i8")
-    ones, rows, flips = (1 << len(labels)) - 1, _Rows(labels), 0
+    applied in order, as a new int64 array."""
+    # each gate is a few passes over every label; X only toggles bit k of
+    # ``flips``, the pending complement of bit k.  Only int64 arrays are
+    # shifted: numpy 1.x casts by value and may narrow a shifted bool array
+    out, flips = np.array(labels, dtype=np.int64), 0
     for gate in gates:
         t = gate.targets[0]
         if gate.kind == "X":
             flips ^= 1 << t
-        elif gate.kind == "SWAP":
+        elif gate.kind == "SWAP":  # toggle both bits where they differ
             u = gate.targets[1]
-            rows[t], rows[u] = rows[u], rows[t]
-            flips ^= ((flips >> t ^ flips >> u) & 1) * (1 << t | 1 << u)
+            both = 1 << t | 1 << u
+            diff = out >> t
+            diff ^= out >> u
+            diff &= 1
+            diff *= both
+            out ^= diff
+            flips ^= ((flips >> t ^ flips >> u) & 1) * both
         elif gate.kind == "MCX":  # flip the target where every control holds
-            fire = ones
+            care = want = 0
             for q, positive in gate.controls:
-                fire &= rows[q] if positive ^ (flips >> q & 1) else ~rows[q]
-            rows[t] ^= fire
+                care |= 1 << q
+                want |= (positive ^ (flips >> q & 1)) << q
+            out ^= ((out & care) == want).astype(np.int64) << t
         else:
             raise ValueError(f"{gate.kind} is not a permutation gate")
-    out = labels ^ flips
-    size = -(-len(labels) // 8)
-    changed = sorted(k for k, row in rows.items() if row != rows.read[k])
-    for byte, ks in groupby(changed, key=lambda k: k >> 3):
-        ks = list(ks)  # this byte's changed rows, folded back by a matrix product
-        diff = b"".join((rows[k] ^ rows.read[k]).to_bytes(size, "little") for k in ks)
-        bits = np.unpackbits(np.frombuffer(diff, np.uint8).reshape(len(ks), size),
-                             axis=1, count=len(labels), bitorder="little")
-        weights = np.array([1 << (k & 7) for k in ks], np.uint8)
-        out.view(np.uint8)[byte::8] ^= weights @ bits
-    return out
+    return out ^ flips
 
 
 class StateVector:

@@ -117,6 +117,24 @@ def reference_mine_classical(header_blocks, params: MiningParams,
                         False, 0, 0.0, 0, 1 << nonce_bits)
 
 
+def reference_permute_labels(labels, gates) -> list[int]:
+    """``permute_labels`` one label and one gate at a time, on Python ints."""
+    out = []
+    for label in map(int, labels):
+        for gate in gates:
+            t = gate.targets[0]
+            if gate.kind == "X":
+                label ^= 1 << t
+            elif gate.kind == "SWAP":
+                u = gate.targets[1]
+                if (label >> t & 1) != (label >> u & 1):
+                    label ^= 1 << t | 1 << u
+            elif all(label >> q & 1 == positive for q, positive in gate.controls):
+                label ^= 1 << t
+        out.append(label)
+    return out
+
+
 def find_header_with_count(nonce_bits: int, params: HashParams, zeros: int,
                            count: int, seed: int = 0,
                            attempts: int = 20000) -> tuple[list[int], list[int]]:

@@ -121,6 +121,15 @@ class TestValidation:
         report = validate_block(Block(header, digest), HP)
         assert not report.ok and "difficulty" in report.reasons
 
+    @pytest.mark.parametrize("nonce", [-3, 0x100, 0xFFF])
+    def test_nonce_wider_than_a_block_is_reported_unhashed(self, nonce):
+        block = mined_block(0, 0x42, 7, 1)
+        wide = Block(dataclasses.replace(block.header, nonce=nonce), block.digest)
+        assert validate_block(wide, HP).reasons == ["nonce-range"]
+        assert validate_chain([wide], HP).reasons == ["block 0: nonce-range"]
+        chain = Chain(hash_params=HP, nonce_bits=4, blocks=[wide])
+        assert chain.validate().reasons == ["block 0: nonce-range"]
+
     def test_chain_of_mined_blocks_valid(self):
         genesis = mined_block(0, 0x42, 7, 1)
         second = mined_block(genesis.digest.value, 0x43, 8, 1)

@@ -117,6 +117,21 @@ class TestMineCommand:
         assert main(["chain", "validate",
                      "--chain-file", chain_file]) == EXIT_INVALID_CHAIN
 
+    @pytest.mark.parametrize("nonce", ["10", "fff", "-3"])
+    def test_out_of_range_nonce_is_one_invalid_block(self, tmp_path, capsys, nonce):
+        # n=4, m=8: 0x10 fits a sponge block but not the nonce register;
+        # 0xfff and -3 fit neither and must not reach the hash
+        chain_file = tmp_path / "chain.json"
+        save_chain(valid_chain(1), chain_file)
+        payload = json.loads(chain_file.read_text())
+        payload["blocks"][0]["nonce"] = nonce
+        chain_file.write_text(json.dumps(payload))
+        assert main(["chain", "validate",
+                     "--chain-file", str(chain_file)]) == EXIT_INVALID_CHAIN
+        captured = capsys.readouterr()
+        assert captured.out.splitlines().count("invalid: block 0: nonce-range") == 1
+        assert captured.err == ""
+
     def test_chain_takes_the_quantum_nonce_when_both_succeed(self, tmp_path, capsys):
         chain_file = tmp_path / "chain.json"
         code = main(["mine", "--n", "4", "--m", "8", "--rounds", "2", "--zeros", "1",

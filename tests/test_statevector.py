@@ -6,7 +6,8 @@ from qmine import (CapacityError, Circuit, Gate, HashParams, RegisterLayout,
                    SearchProblem, assignment_for, new_zero_state, prepare)
 from qmine.statevector import permute_labels
 from helpers import (dense_apply_gates, dense_register_distribution,
-                     random_amplitudes, random_circuit, set_register)
+                     random_amplitudes, random_circuit, reference_permute_labels,
+                     set_register)
 
 SQ = 1 / np.sqrt(2)
 
@@ -261,6 +262,27 @@ def _state_on_support(num_qubits, size, rng):
 PERMUTATION_KINDS = ("X", "SWAP", "MCX")
 
 
+class TestPermuteLabels:
+    """``permute_labels`` against one label at a time on Python ints, over
+    registers wider than the dense reference reaches: mining labels run to
+    q = 33."""
+
+    @pytest.mark.parametrize("size", [1, 7, 64, 4096])
+    @pytest.mark.parametrize("q", [5, 33, 40])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_equals_one_label_at_a_time(self, q, size, seed):
+        rng = np.random.default_rng([q, size, seed])
+        top = q - 1  # the first gates act on the highest qubit
+        gates = [Gate.x(top), Gate.swap(0, top), Gate.mcx([(top, True), (1, False)], 2)]
+        gates += random_circuit(q, 60, rng, PERMUTATION_KINDS).gates
+        labels = rng.integers(0, 1 << q, size=size)
+        before = labels.copy()
+        out = permute_labels(labels, gates)
+        assert out.dtype == np.int64
+        assert out.tolist() == reference_permute_labels(before, gates)
+        assert np.array_equal(labels, before)
+
+
 class TestDenseReference:
     """The support-tracked evaluator against the gate-by-gate dense one."""
 
@@ -273,7 +295,7 @@ class TestDenseReference:
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("q", [2, 3, 8, 9, 13, 14])
     def test_permutation_circuit_bit_identical(self, q, seed):
-        # one long bit-sliced run; the first gates act on the highest qubit
+        # one long run of permutation gates; the first act on the highest qubit
         rng = np.random.default_rng(100 * q + seed)
         top = q - 1
         gates = [Gate.x(top), Gate.swap(0, top), Gate.mcx([(0, False)], top)]
@@ -285,8 +307,8 @@ class TestDenseReference:
 
     @pytest.mark.parametrize("size", [1, 7, 8, 9, 63, 64, 65, 1 << 10])
     def test_support_sizes_bit_identical(self, size):
-        # row widths either side of the byte and 64-bit word boundaries,
-        # up to the full 2^q
+        # supports either side of the byte and 64-label boundaries, up to
+        # the full 2^q
         q = 10
         rng = np.random.default_rng(size)
         gates = random_circuit(q, 300, rng, PERMUTATION_KINDS).gates

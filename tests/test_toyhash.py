@@ -9,7 +9,7 @@ from qmine import (Circuit, Gate, HashParams, RegisterLayout, apply_circuit,
                    assignment_for, build_hash_circuit,
                    build_hash_circuit_outofplace, format_circuit, hash_classical,
                    invert, new_zero_state)
-from qmine.miner import _cached_round_tables
+from qmine.miner import _cached_round_tables, _register_table
 from qmine.toyhash import _emit_absorbs, permute, round_constant
 from helpers import (hash_oracle, permute_oracle, reference_hash_circuit,
                      set_register)
@@ -234,6 +234,18 @@ class TestRoundTables:
         for table in (forward, backward):
             assert table.dtype == (np.uint8 if m <= 8 else np.uint16)
             assert not table.flags.writeable
+
+    @pytest.mark.parametrize("m, rounds", [(m, r) for m in range(4, 13) for r in (1, 2, 8)]
+                             + [(16, 2)])
+    @pytest.mark.parametrize("true_chi", [False, True])
+    def test_backward_is_the_reversed_block(self, m, rounds, true_chi):
+        # the backward table is derived as the forward table's inverse; read
+        # it off the reversed gates instead
+        layout = RegisterLayout.standard(1, m)
+        block, _, backward = _cached_round_tables(layout, HashParams(m, rounds, true_chi))
+        reversed_table = _register_table(block[::-1], layout.hash)
+        assert np.array_equal(backward, reversed_table)
+        assert backward.dtype == reversed_table.dtype
 
 
 class TestHashCircuitOutOfPlace:
