@@ -24,6 +24,7 @@ REASON_DIFFICULTY = "difficulty"
 REASON_PREV_LINK = "prev-link"
 REASON_GENESIS_PREV = "genesis-prev"
 REASON_NONCE_RANGE = "nonce-range"
+REASON_HEADER_RANGE = "header-range"
 
 
 @dataclass(frozen=True)
@@ -118,14 +119,20 @@ def compute_required_zeros(nonce_bits: int, digest_bits: int) -> int:
 
 
 def validate_block(block: Block, params: HashParams) -> ValidationReport:
-    """Digest and difficulty; a nonce that does not fit one sponge block is
-    reported as out of range and not hashed."""
-    report = ValidationReport()
-    if not 0 <= block.header.nonce <= params.mask:
+    """Digest and difficulty; a header field that ``serialize_header``
+    rejects, or a nonce that does not fit one sponge block, is reported as
+    out of range and the header is not hashed."""
+    report, header = ValidationReport(), block.header
+    try:
+        serialize_header(header, params)
+    except ValueError:
+        report.reasons.append(REASON_HEADER_RANGE)
+    if not 0 <= header.nonce <= params.mask:
         report.reasons.append(REASON_NONCE_RANGE)
-    elif header_digest(block.header, params) != block.digest:
+    elif not report.reasons and header_digest(header, params) != block.digest:
         report.reasons.append(REASON_DIGEST_MISMATCH)
-    if not block.digest.meets_difficulty(block.header.difficulty_zeros):
+    if (0 <= header.difficulty_zeros <= params.digest_bits  # else header-range
+            and not block.digest.meets_difficulty(header.difficulty_zeros)):
         report.reasons.append(REASON_DIFFICULTY)
     return report
 

@@ -15,7 +15,7 @@ phase flip on the marked branches (phase kickback).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -207,13 +207,13 @@ class SearchProblem:
         functional = 1 << layout.functional
         labels = fused_permute_labels(nonces, hash_circuit.gates + oracle.gates
                                       + hash_inverse.gates, layout, hash_params)
-        if np.any((labels & ~functional) != nonces):
+        if ((labels & ~functional) != nonces).any():
             raise ValueError("hash, oracle and unhash must return every nonce "
                              "with the hash and service registers at |0...0>")
         # each problem owns its gate lists
         return SearchProblem(layout, hash_circuit, hash_inverse,
-                             replace(oracle, gates=list(oracle.gates)),
-                             replace(diffusion, gates=list(diffusion.gates)),
+                             *(Circuit(c.num_qubits, list(c.gates), c.label)
+                               for c in (oracle, diffusion)),
                              (labels & functional) != 0)
 
     @property
@@ -233,7 +233,7 @@ class SearchProblem:
         return the distribution of the nonce register."""
         for _ in range(iterations):
             np.negative(b, out=b, where=self.marked)
-            b -= 2 * b.mean()
+            b -= 2 * (b.sum() / len(b))  # b.mean()'s float operations
         p = b.real * b.real + b.imag * b.imag
         return p + p  # both functional branches, in the order readout adds them
 
@@ -279,27 +279,39 @@ def fused_permute_labels(labels: np.ndarray, gates: list, layout: RegisterLayout
                          hash_params: HashParams) -> np.ndarray:
     """``permute_labels(labels, gates)``, except that each slice of ``gates``
     equal to the cached round block, or to its reverse, is one gather of
-    the labels' hash field through that block's table."""
+    the labels' hash field through that block's table.  The field is kept
+    unpacked between slices, and a run made only of X gates on the hash
+    register is one XOR of it."""
     block, forward, backward = _cached_round_tables(layout, hash_params)
     low, mask = layout.hash[0], len(forward) - 1
-    size, reverse = len(block), block[::-1]
-    # a header's circuits splice the cached block itself, so a slice
-    # compares equal on identity; any other gate list is still exact
-    start = i = 0
-    while i < len(gates):
-        if gates[i] is block[0] and tuple(gates[i:i + size]) == block:
+    field, size, reverse = mask << low, len(block), block[::-1]
+    # labels = rest | values << low; int64 values index faster than uint8/16
+    labels = np.asarray(labels, dtype=np.int64)
+    rest, values = labels & ~field, labels >> low & mask
+    # flips: a run's X gates on the hash field XORed, negative if it has others
+    start = i = flips = 0
+    while True:
+        # a header's circuits splice the cached block itself, so a slice
+        # compares equal on identity; any other gate list is still exact
+        if i == len(gates):
+            table = None
+        elif gates[i] is block[0] and tuple(gates[i:i + size]) == block:
             table = forward
         elif gates[i] is reverse[0] and tuple(gates[i:i + size]) == reverse:
             table = backward
         else:
-            i += 1
+            g, i = gates[i], i + 1
+            flips = flips ^ g.mask if g.kind == "X" and not g.mask & ~field else -1
             continue
-        if start < i:
-            labels = permute_labels(labels, gates[start:i])
-        values = labels >> low & mask
-        labels = labels ^ (table[values] ^ values) << low
-        start = i = i + size
-    return permute_labels(labels, gates[start:]) if start < len(gates) else labels
+        if flips < 0:
+            rest = permute_labels(np.bitwise_or(rest, values << low, out=rest), gates[start:i])
+            rest, values = rest & ~field, rest >> low & mask
+        elif flips:
+            values ^= flips >> low
+        if table is None:
+            return rest | values << low
+        values = table[values].astype(np.int64)
+        i, start, flips = i + size, i + size, 0
 
 
 # -- schedules and analysis ------------------------------------------------------
@@ -399,6 +411,15 @@ def enumerate_solutions(header_blocks: Sequence[int], hash_params: HashParams,
 # -- the miner -------------------------------------------------------------------
 
 
+def sample_readout(dist: np.ndarray, rng: np.random.Generator) -> int:
+    """An index drawn with probability ``dist / dist.sum()`` by inverse-CDF
+    sampling from one uniform draw of ``rng``: the algorithm of
+    ``rng.choice(len(dist), p=dist / dist.sum())``, without its checks of p."""
+    cdf = (dist / dist.sum()).cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def mine_quantum(header_blocks: Sequence[int], layout: RegisterLayout,
                  params: MiningParams, *, exact_readout: bool = False,
                  problem: SearchProblem | None = None) -> MiningResult:
@@ -436,24 +457,20 @@ def mine_quantum(header_blocks: Sequence[int], layout: RegisterLayout,
     amplitudes = problem.prepared()
     rng = np.random.default_rng(params.rng_seed)
 
-    def run_round(more_iterations: int) -> tuple[int, float, Digest, bool]:
+    def run_round(more_iterations: int) -> tuple[int, np.ndarray, Digest, bool]:
         dist = problem.run(amplitudes, more_iterations)
-        solution_mass = float(dist[problem.marked].sum())
-        if exact_readout:
-            value = int(np.argmax(dist))
-        else:
-            value = int(rng.choice(len(dist), p=dist / dist.sum()))
+        value = int(np.argmax(dist)) if exact_readout else sample_readout(dist, rng)
         digest = hash_classical([prefix ^ value], hp)
-        return value, solution_mass, digest, digest.meets_difficulty(zeros)
+        return value, dist, digest, digest.meets_difficulty(zeros)
 
-    def result(value, digest, ok, used, mass, hashes) -> MiningResult:
+    def result(value, digest, ok, used, dist, hashes) -> MiningResult:
         return MiningResult(
             nonce=value,
             nonce_bits=format(value, f"0{n}b"),
             digest=digest,
             success=ok,
             grover_iterations_used=used,
-            success_probability_at_measurement=mass,
+            success_probability_at_measurement=float(dist[problem.marked].sum()),
             # prepare (n + 2 gates) once per round, plus every iteration
             total_gates=hashes * (n + 2) + used * problem.gates_per_iteration,
             hashes_tried=hashes,
@@ -461,8 +478,8 @@ def mine_quantum(header_blocks: Sequence[int], layout: RegisterLayout,
 
     if params.solution_count_hint is not None:
         k = iteration_count(n, params.solution_count_hint)
-        value, mass, digest, ok = run_round(k)
-        return result(value, digest, ok, k, mass, 1)
+        value, dist, digest, ok = run_round(k)
+        return result(value, digest, ok, k, dist, 1)
 
     budget_cap = params.max_grover_rounds * math.ceil(math.pi / 4 * math.sqrt(1 << n))
     used = 0
@@ -471,10 +488,10 @@ def mine_quantum(header_blocks: Sequence[int], layout: RegisterLayout,
     t = 0
     while True:
         k_t = math.ceil(UNKNOWN_COUNT_GROWTH ** t)
-        value, mass, digest, ok = run_round(k_t - k_last)
+        value, dist, digest, ok = run_round(k_t - k_last)
         used += k_t
         hashes += 1
         if ok or used > budget_cap:
-            return result(value, digest, ok, used, mass, hashes)
-        k_last = k_t
+            return result(value, digest, ok, used, dist, hashes)
+        k_last, dist = k_t, None  # not held while the next round runs
         t += 1

@@ -8,6 +8,7 @@ from qmine import (Block, BlockHeader, Chain, HashParams, MiningParams,
                    RegisterLayout, compute_required_zeros, hash_classical,
                    load_chain, mine_classical, mine_quantum, save_chain,
                    serialize_header, validate_block, validate_chain)
+import qmine.chain
 from qmine.chain import header_digest
 from qmine.toyhash import Digest
 from helpers import find_header_with_count
@@ -129,6 +130,18 @@ class TestValidation:
         assert validate_chain([wide], HP).reasons == ["block 0: nonce-range"]
         chain = Chain(hash_params=HP, nonce_bits=4, blocks=[wide])
         assert chain.validate().reasons == ["block 0: nonce-range"]
+
+    @pytest.mark.parametrize("field, value", [
+        ("prev_digest", 0x1FF), ("payload_digest", 0x100), ("payload_digest", -1),
+        ("difficulty_zeros", 9), ("difficulty_zeros", -1), ("timestamp", -1)])
+    def test_header_field_out_of_range_is_reported_unhashed(self, field, value,
+                                                            monkeypatch):
+        block = mined_block(0, 0x42, 7, 1)
+        wide = Block(dataclasses.replace(block.header, **{field: value}), block.digest)
+        monkeypatch.setattr(qmine.chain, "hash_classical", None)  # never hashed
+        assert validate_block(wide, HP).reasons == ["header-range"]
+        wide = Block(dataclasses.replace(wide.header, nonce=0x100), block.digest)
+        assert validate_block(wide, HP).reasons == ["header-range", "nonce-range"]
 
     def test_chain_of_mined_blocks_valid(self):
         genesis = mined_block(0, 0x42, 7, 1)

@@ -132,6 +132,23 @@ class TestMineCommand:
         assert captured.out.splitlines().count("invalid: block 0: nonce-range") == 1
         assert captured.err == ""
 
+    @pytest.mark.parametrize("field, value", [
+        ("prev_digest", "1ff"), ("payload_digest", "100"),
+        ("difficulty_zeros", 9), ("timestamp", -1)])
+    def test_out_of_range_header_field_is_one_invalid_block(self, tmp_path, capsys,
+                                                            field, value):
+        # n=4, m=8: each value is one serialize_header rejects
+        chain_file = tmp_path / "chain.json"
+        save_chain(valid_chain(1), chain_file)
+        payload = json.loads(chain_file.read_text())
+        payload["blocks"][0][field] = value
+        chain_file.write_text(json.dumps(payload))
+        assert main(["chain", "validate",
+                     "--chain-file", str(chain_file)]) == EXIT_INVALID_CHAIN
+        captured = capsys.readouterr()
+        assert captured.out.splitlines().count("invalid: block 0: header-range") == 1
+        assert captured.err == ""
+
     def test_chain_takes_the_quantum_nonce_when_both_succeed(self, tmp_path, capsys):
         chain_file = tmp_path / "chain.json"
         code = main(["mine", "--n", "4", "--m", "8", "--rounds", "2", "--zeros", "1",

@@ -679,23 +679,24 @@ class TestFusedCompile:
                 SearchProblem.build(header, layout, params, zeros).marked, marked)
 
     def test_every_round_block_is_one_gather(self, monkeypatch):
-        # 2 * (4 + 1) round blocks at (4, 12, 2); only the X runs, the
-        # nonce CNOTs and the oracle reach permute_labels
+        # 2 * (4 + 1) round blocks at (4, 12, 2), each one gather, and the
+        # header's X runs folded into them: only the nonce CNOTs, the
+        # oracle and the CNOTs again, in that order, reach permute_labels
         layout, params = RegisterLayout.standard(4, 12), HashParams(12, 2)
         header = [0x5A1, 0x003, 0xFFF, 0x800]
         SearchProblem.build(header, layout, params, 4)  # fills the caches
-        block = qmine.miner._cached_round_tables(layout, params)[0]
-        evaluated = []
+        cnots = qmine.miner._shared_gates(layout.nonce, layout.hash, params, ())[1]
+        oracle = qmine.miner._cached_oracle(layout, 4).gates
+        runs = []
 
         def spy(labels, gates):
-            evaluated.extend(gates)
+            runs.append(list(gates))
             return permute_labels(labels, gates)
 
         monkeypatch.setattr(qmine.miner, "permute_labels", spy)
-        gates = iteration_gates(header, layout, params, 4)
         problem = SearchProblem.build(header, layout, params, 4)
-        assert len(evaluated) == len(gates) - 10 * len(block)
-        assert {id(gate) for gate in evaluated}.isdisjoint(map(id, block))
+        assert [list(map(id, run)) for run in runs] == [
+            list(map(id, cnots)), list(map(id, oracle)), list(map(id, cnots[::-1]))]
         assert np.array_equal(problem.marked,
                               reference_compile(header, layout, params, 4)[1])
 
@@ -708,6 +709,8 @@ class TestFusedCompile:
         h, functional = layout.hash, layout.functional
         stray = [Gate.x(h[2]), Gate.cnot(0, h[1]), Gate.swap(h[0], h[5]),
                  Gate.mcx([(h[4], False), (1, True)], functional)]
+        hash_xs = [Gate.x(h[0]), Gate.x(h[3]), Gate.x(h[0]), Gate.x(h[5])]
+        mixed_xs = [Gate.x(h[1]), Gate.x(0), Gate.x(h[4]), Gate.x(functional)]
         i = len(block) // 2
         copy = Gate(block[i].kind, block[i].targets, block[i].controls)
         return {
@@ -718,14 +721,20 @@ class TestFusedCompile:
             "truncated-at-end": block + stray + block[:-3],
             "back-to-back": block + block + reverse + reverse,
             "stray-between": stray[:2] + block + stray + block + stray[2:] + reverse,
+            "hash-xs-before-each": hash_xs + block + hash_xs[1:] + reverse + hash_xs[:1],
+            "mixed-xs-before-each": mixed_xs + block + mixed_xs[::-1] + reverse,
+            "hash-xs-at-end": block + stray + reverse + hash_xs,
+            "xs-only": hash_xs + mixed_xs,
         }[name]
 
     @pytest.mark.parametrize("name", ["replaced", "replaced-first", "replaced-by-equal",
                                       "dropped", "truncated-at-end", "back-to-back",
-                                      "stray-between"])
+                                      "stray-between", "hash-xs-before-each",
+                                      "mixed-xs-before-each", "hash-xs-at-end", "xs-only"])
     def test_spliced_gate_lists(self, name):
         rng = np.random.default_rng(7)
         labels = rng.integers(0, 1 << self.LAYOUT.total_qubits, size=64)
+        labels[::2] |= 1 << self.LAYOUT.functional
         gates = self.splice(name)
         assert np.array_equal(
             qmine.miner.fused_permute_labels(labels, gates, self.LAYOUT, self.PARAMS),
@@ -739,16 +748,21 @@ class TestFusedCompile:
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
         gates = []
         for _ in range(data.draw(st.integers(1, 6))):
-            part = data.draw(st.sampled_from(["block", "reverse", "cut", "stray"]))
+            part = data.draw(st.sampled_from(["block", "reverse", "cut", "stray",
+                                              "hash-xs", "mixed-xs"]))
             if part == "stray":
                 gates += random_circuit(layout.total_qubits, 3, rng,
                                         kinds=("X", "SWAP", "MCX")).gates
+            elif part.endswith("xs"):
+                qubits = layout.hash if part == "hash-xs" else range(layout.total_qubits)
+                gates += [Gate.x(int(q)) for q in rng.choice(qubits, size=4)]
             elif part == "cut":
                 start = data.draw(st.integers(0, len(block) - 1))
                 gates += block[start:data.draw(st.integers(start, len(block)))]
             else:
                 gates += block if part == "block" else block[::-1]
         labels = rng.integers(0, 1 << layout.total_qubits, size=32)
+        labels[::2] |= 1 << layout.functional
         assert np.array_equal(
             qmine.miner.fused_permute_labels(labels, gates, layout, params),
             permute_labels(labels, gates))
@@ -760,6 +774,29 @@ class TestFusedCompile:
         for outside in (Gate.x(1), Gate.cnot(0, 3), Gate.cnot(5, 6), Gate.swap(5, 6)):
             with pytest.raises(ValueError, match="outside the hash register"):
                 qmine.miner._register_table(inside + [outside], layout.hash)
+
+
+class TestSampledReadout:
+    """``sample_readout`` draws what ``Generator.choice`` draws for the same
+    p and leaves the generator where ``choice`` leaves it."""
+
+    @pytest.mark.parametrize("bits", range(1, 17))
+    @pytest.mark.parametrize("kind", ["dense", "half-zeros", "leading-zeros", "one-hot"])
+    def test_equals_generator_choice(self, bits, kind):
+        size = 1 << bits
+        rng = np.random.default_rng([bits, len(kind)])
+        dist = rng.random(size)
+        if kind == "half-zeros":
+            dist[rng.permutation(size)[:size // 2]] = 0.0
+        elif kind == "leading-zeros":
+            dist[:size // 2] = 0.0
+        elif kind == "one-hot":
+            dist = np.zeros(size)
+            dist[rng.integers(size)] = 0.5
+        ours, theirs = np.random.default_rng(bits), np.random.default_rng(bits)
+        for _ in range(3):
+            assert (qmine.miner.sample_readout(dist, ours)
+                    == theirs.choice(size, p=dist / dist.sum()))
 
 
 class TestCarriedState:
