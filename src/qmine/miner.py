@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -24,8 +24,8 @@ import numpy as np
 from .circuit import Circuit, Gate, apply_circuit, invert
 # new_zero_state stays bound here for tracers that wrap miner.new_zero_state
 from .statevector import _SQRT1_2, StateVector, new_zero_state, permute_labels
-from .toyhash import (Digest, HashParams, _shared_gates, build_hash_circuit,
-                      check_block, hash_classical)
+from .toyhash import (Digest, HashParams, _check_layout, _shared_gates,
+                      build_hash_circuit, check_block, hash_classical)
 
 UNKNOWN_COUNT_GROWTH = 6 / 5  # per-round budget ratio when the solution count is unknown
 MAX_ESTIMATE_BITS = 1023  # the estimator's counts must convert to finite floats
@@ -179,48 +179,61 @@ def grover_iteration(state: StateVector, layout: RegisterLayout,
 
 @dataclass(frozen=True, eq=False)
 class SearchProblem:
-    """The circuits of one search iteration for one header, built once
-    and shared by every run of that search.
+    """One header's search, compiled once and shared by every run of it.
 
     Between iterations the state is sum_v b_v |v>|0...0>|-> (its functional
     |1> branch is exactly -b), so hash, oracle and unhash only negate b on
-    the ``marked`` nonces, read off the circuits at build.  The diffusion
-    circuit is 1 - 2|s><s| on the nonce register, so ``run`` keeps the 2^n
-    amplitudes b and applies it as b - 2 mean(b): one iteration is one
-    negation and one reflection about the mean."""
+    the ``marked`` nonces, marks[absorb ^ prefix] (``_cached_search_tables``)
+    for the sponge state the header leaves.  The diffusion circuit is
+    1 - 2|s><s| on the nonce register, so ``run`` keeps the 2^n amplitudes b
+    and applies it as b - 2 mean(b).  Each problem builds its own circuits
+    on first use."""
 
     layout: RegisterLayout
-    hash_circuit: Circuit
-    hash_inverse: Circuit
-    oracle: Circuit
-    diffusion: Circuit
+    header_blocks: tuple[int, ...]
+    hash_params: HashParams
+    zeros: int
     marked: np.ndarray
 
     @staticmethod
     def build(header_blocks: Sequence[int], layout: RegisterLayout,
               hash_params: HashParams, zeros: int) -> "SearchProblem":
-        hash_circuit = build_hash_circuit(layout, header_blocks, hash_params)
-        hash_inverse = invert(hash_circuit)
-        oracle = _cached_oracle(layout, zeros)
-        diffusion = _cached_diffusion(layout)
-        nonces = np.arange(1 << len(layout.nonce))
-        functional = 1 << layout.functional
-        labels = fused_permute_labels(nonces, hash_circuit.gates + oracle.gates
-                                      + hash_inverse.gates, layout, hash_params)
-        if ((labels & ~functional) != nonces).any():
-            raise ValueError("hash, oracle and unhash must return every nonce "
-                             "with the hash and service registers at |0...0>")
-        # each problem owns its gate lists
-        return SearchProblem(layout, hash_circuit, hash_inverse,
-                             *(Circuit(c.num_qubits, list(c.gates), c.label)
-                               for c in (oracle, diffusion)),
-                             (labels & functional) != 0)
+        _check_layout(layout, hash_params)
+        header_blocks = tuple(check_block(b, hash_params) for b in header_blocks)
+        forward, absorb, marks = _cached_search_tables(layout, hash_params, zeros)
+        prefix = 0  # header_prefix, one table lookup per block
+        for block in header_blocks:
+            prefix = int(forward[prefix ^ block])
+        return SearchProblem(layout, header_blocks, hash_params, zeros,
+                             marks[absorb ^ prefix])
+
+    @cached_property
+    def hash_circuit(self) -> Circuit:
+        return build_hash_circuit(self.layout, self.header_blocks, self.hash_params)
+
+    @cached_property
+    def hash_inverse(self) -> Circuit:
+        return invert(self.hash_circuit)
+
+    @cached_property
+    def oracle(self) -> Circuit:
+        return build_oracle(self.layout, self.zeros)
+
+    @cached_property
+    def diffusion(self) -> Circuit:
+        return build_diffusion(self.layout)
 
     @property
     def gates_per_iteration(self) -> int:
-        """Gates one iteration applies, counted from the circuits alone."""
-        return (len(self.hash_circuit) + len(self.oracle)
-                + len(self.hash_inverse) + len(self.diffusion))
+        """Gates one iteration applies, counted from the cached gates: hash
+        and unhash each absorb a header block as its X gates and the rounds,
+        and the nonce as its CNOTs and the rounds."""
+        _, cnots, rounds = _shared_gates(self.layout.nonce, self.layout.hash,
+                                         self.hash_params, ())
+        absorbs = (sum(bin(b).count("1") for b in self.header_blocks) + len(cnots)
+                   + (len(self.header_blocks) + 1) * len(rounds))
+        return (2 * absorbs + len(_cached_oracle(self.layout, self.zeros))
+                + len(_cached_diffusion(self.layout)))
 
     def prepared(self) -> np.ndarray:
         """The amplitudes b of ``prepare``'s state, as ``run`` takes them:
@@ -250,16 +263,39 @@ def _cached_diffusion(layout: RegisterLayout) -> Circuit:
 
 @lru_cache(maxsize=8)
 def _cached_round_tables(layout: RegisterLayout, hash_params: HashParams) -> tuple:
-    """The r-round gate block that every hash circuit for these parameters
-    repeats, and the permutations of the hash register's 2^m values that
-    the block and its reverse apply.  Every gate is self-inverse, so the
-    reverse undoes the block and its table is the forward table's inverse."""
+    """The r-round gate block every hash circuit repeats, and its register table."""
     block = _shared_gates(layout.nonce, layout.hash, hash_params, ())[2]
-    forward = _register_table(block, layout.hash)
-    backward = np.empty_like(forward)
-    backward[forward] = np.arange(len(forward), dtype=forward.dtype)
-    backward.setflags(write=False)
-    return block, forward, backward
+    return block, _register_table(block, layout.hash)
+
+
+@lru_cache(maxsize=8)
+def _cached_search_tables(layout: RegisterLayout, hash_params: HashParams,
+                          zeros: int) -> tuple:
+    """The round table ``forward`` and, read off the cached gates, ``absorb``,
+    what the nonce CNOTs XOR into nonce v's hash field, and ``marks``, whether
+    the oracle fires on field forward[x].  Hash and oracle then flip nonce v
+    iff marks[absorb[v] ^ prefix] and the unhash clears the field, provided the
+    CNOTs read only nonce qubits and write only the hash field and the oracle
+    reads only that field and writes only the functional qubit."""
+    cnots = _shared_gates(layout.nonce, layout.hash, hash_params, ())[1]
+    _, forward = _cached_round_tables(layout, hash_params)
+    oracle = _cached_oracle(layout, zeros).gates
+    low, functional = layout.hash[0], 1 << layout.functional
+    nonce_mask, field = (1 << len(layout.nonce)) - 1, (len(forward) - 1) << low
+    nonces, values = np.arange(nonce_mask + 1), np.arange(len(forward)) << low
+    labels = np.concatenate((values, values | functional))
+    absorbed = permute_labels(nonces, cnots) ^ nonces
+    flipped = permute_labels(labels, oracle) ^ labels
+    if (any(g.kind == "SWAP" or g.mask & ~(nonce_mask | 1 << g.targets[0]) for g in cnots)
+            or (absorbed & ~field).any()
+            or any(g.mask & ~(field | functional) for g in oracle)
+            or (flipped & ~functional).any()):
+        raise ValueError("hash, oracle and unhash must return every nonce "
+                         "with the hash and service registers at |0...0>")
+    absorb, marks = absorbed >> low, (flipped[:len(values)] != 0)[forward]
+    for table in (absorb, marks):
+        table.setflags(write=False)
+    return forward, absorb, marks
 
 
 def _register_table(gates: Sequence[Gate], register: Sequence[int]) -> np.ndarray:
@@ -273,45 +309,6 @@ def _register_table(gates: Sequence[Gate], register: Sequence[int]) -> np.ndarra
     table = values.astype(np.min_scalar_type((1 << width) - 1))
     table.setflags(write=False)
     return table
-
-
-def fused_permute_labels(labels: np.ndarray, gates: list, layout: RegisterLayout,
-                         hash_params: HashParams) -> np.ndarray:
-    """``permute_labels(labels, gates)``, except that each slice of ``gates``
-    equal to the cached round block, or to its reverse, is one gather of
-    the labels' hash field through that block's table.  The field is kept
-    unpacked between slices, and a run made only of X gates on the hash
-    register is one XOR of it."""
-    block, forward, backward = _cached_round_tables(layout, hash_params)
-    low, mask = layout.hash[0], len(forward) - 1
-    field, size, reverse = mask << low, len(block), block[::-1]
-    # labels = rest | values << low; int64 values index faster than uint8/16
-    labels = np.asarray(labels, dtype=np.int64)
-    rest, values = labels & ~field, labels >> low & mask
-    # flips: a run's X gates on the hash field XORed, negative if it has others
-    start = i = flips = 0
-    while True:
-        # a header's circuits splice the cached block itself, so a slice
-        # compares equal on identity; any other gate list is still exact
-        if i == len(gates):
-            table = None
-        elif gates[i] is block[0] and tuple(gates[i:i + size]) == block:
-            table = forward
-        elif gates[i] is reverse[0] and tuple(gates[i:i + size]) == reverse:
-            table = backward
-        else:
-            g, i = gates[i], i + 1
-            flips = flips ^ g.mask if g.kind == "X" and not g.mask & ~field else -1
-            continue
-        if flips < 0:
-            rest = permute_labels(np.bitwise_or(rest, values << low, out=rest), gates[start:i])
-            rest, values = rest & ~field, rest >> low & mask
-        elif flips:
-            values ^= flips >> low
-        if table is None:
-            return rest | values << low
-        values = table[values].astype(np.int64)
-        i, start, flips = i + size, i + size, 0
 
 
 # -- schedules and analysis ------------------------------------------------------
@@ -456,11 +453,14 @@ def mine_quantum(header_blocks: Sequence[int], layout: RegisterLayout,
     prefix = header_prefix(header_blocks, hp)
     amplitudes = problem.prepared()
     rng = np.random.default_rng(params.rng_seed)
+    digests: dict[int, Digest] = {}  # a nonce read again is not hashed again
 
     def run_round(more_iterations: int) -> tuple[int, np.ndarray, Digest, bool]:
         dist = problem.run(amplitudes, more_iterations)
         value = int(np.argmax(dist)) if exact_readout else sample_readout(dist, rng)
-        digest = hash_classical([prefix ^ value], hp)
+        if value not in digests:
+            digests[value] = hash_classical([prefix ^ value], hp)
+        digest = digests[value]
         return value, dist, digest, digest.meets_difficulty(zeros)
 
     def result(value, digest, ok, used, dist, hashes) -> MiningResult:

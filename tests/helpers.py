@@ -86,7 +86,7 @@ def reference_compile(header_blocks, layout: RegisterLayout, params: HashParams,
                       zeros: int) -> tuple[np.ndarray, np.ndarray]:
     """The labels that hash, oracle and unhash move the 2^n nonces to, in one
     ``permute_labels`` pass over every gate, and the marked mask read off
-    them: ``SearchProblem.build`` without the fused round blocks."""
+    them: ``SearchProblem.build`` without its cached tables."""
     hash_circuit = build_hash_circuit(layout, list(header_blocks), params)
     labels = permute_labels(np.arange(1 << len(layout.nonce)),
                             hash_circuit.gates + build_oracle(layout, zeros).gates
@@ -154,7 +154,7 @@ def simulated_gates_per_iteration(nonce_bits: int, params: HashParams, zeros: in
                                   header_blocks=(0, 0, 0, 0)) -> int:
     """Gates one search iteration applies, counted by simulating it on a
     prepared state (independent of ``SearchProblem.gates_per_iteration``,
-    which counts from circuit lengths)."""
+    which counts from the cached gates)."""
     layout = RegisterLayout.standard(nonce_bits, params.digest_bits)
     state = new_zero_state(layout.total_qubits)
     prepare(state, layout)

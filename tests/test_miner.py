@@ -10,11 +10,12 @@ from qmine import (Gate, HashParams, MiningParams, RegisterLayout, SearchProblem
                    enumerate_solutions, format_circuit, grover_iteration,
                    hash_classical, invert, iteration_count, mine_classical,
                    mine_quantum, new_zero_state, prepare)
+import qmine.circuit
 import qmine.miner
+import qmine.toyhash
 from qmine.miner import UNKNOWN_COUNT_GROWTH, header_prefix
-from qmine.statevector import permute_labels
 from helpers import (assert_matches_reference, find_header_with_count,
-                     max_global_phase_deviation, random_circuit, reference_compile,
+                     max_global_phase_deviation, reference_compile,
                      reference_enumerate_solutions, reference_hash_circuit,
                      reference_mine_classical, reference_mine_quantum,
                      reference_run, simulated_gates_per_iteration)
@@ -607,25 +608,27 @@ class TestNonceAxisEngine:
             assert np.abs(b - reference).max() <= 1e-12
             assert np.abs(dist - reference_dist).max() <= 1e-12
 
-    def test_marked_follows_a_corrupted_hash_circuit(self, monkeypatch):
-        # drop one X and flip one control: the mask must be what the
-        # corrupted circuit marks on the state vector, not the classical set
-        n, m, zeros = 5, 8, 3
+    def test_marked_follows_a_corrupted_hash_circuit(self, monkeypatch, cold_caches):
+        # flip one control and drop one X of every cached round block: the
+        # mask must be what the corrupted circuits mark on the state vector,
+        # not the classical set
+        n, m, zeros = 5, 8, 2
         header = [0x51, 0x3B, 0x00, 0x07]
         layout = RegisterLayout.standard(n, m)
+        emit_round = qmine.toyhash._emit_round
 
-        def corrupted(*args):
-            circuit = build_hash_circuit(*args)
-            drop = next(i for i, g in enumerate(circuit.gates) if g.kind == "X")
-            flip = next(i for i, g in enumerate(circuit.gates) if g.kind == "MCX")
-            gate = circuit.gates[flip]
-            circuit.gates[flip] = Gate.mcx(
-                [(gate.controls[0][0], not gate.controls[0][1]),
-                 *gate.controls[1:]], gate.targets[0])
-            del circuit.gates[drop]
-            return circuit
+        def corrupted(circuit, *args):
+            start = len(circuit.gates)
+            emit_round(circuit, *args)
+            gates = circuit.gates[start:]
+            drop = next(i for i, g in enumerate(gates) if g.kind == "X")
+            flip = next(i for i, g in enumerate(gates) if g.kind == "MCX")
+            (q, positive), *rest = gates[flip].controls
+            gates[flip] = Gate.mcx([(q, not positive), *rest], gates[flip].targets[0])
+            del gates[drop]
+            circuit.gates[start:] = gates
 
-        monkeypatch.setattr(qmine.miner, "build_hash_circuit", corrupted)
+        monkeypatch.setattr(qmine.toyhash, "_emit_round", corrupted)
         problem = SearchProblem.build(header, layout, HP82, zeros)
         state = new_zero_state(layout.total_qubits)
         prepare(state, layout)
@@ -634,30 +637,54 @@ class TestNonceAxisEngine:
         assert np.array_equal(problem.marked, state.amplitudes[:1 << n].real < 0)
         solutions = np.zeros(1 << n, dtype=bool)
         solutions[enumerate_solutions(header, HP82, n, zeros)] = True
-        assert not np.array_equal(problem.marked, solutions)
+        assert problem.marked.any() and not np.array_equal(problem.marked, solutions)
 
-    def test_build_rejects_an_unhash_that_does_not_unwind(self, monkeypatch):
-        def lossy(circuit):
-            inverse = invert(circuit)
-            del inverse.gates[len(inverse.gates) // 2]
-            return inverse
+    def test_build_rejects_an_unhash_that_does_not_unwind(self, monkeypatch, cold_caches):
+        # a nonce CNOT that reads a hash qubit or writes outside the hash
+        # field, or an oracle that writes outside the functional qubit or
+        # reads outside the hash field, breaks the tables' premise
+        layout = RegisterLayout.standard(4, 8)
+        h, functional = layout.hash, layout.functional
+        shared_gates, build_oracle_ = qmine.miner._shared_gates, qmine.miner.build_oracle
+        cnot_corruptions = [Gate.cnot(h[0], h[1]), Gate.cnot(0, 1), Gate.cnot(0, functional),
+                            Gate.swap(h[0], 0), Gate.swap(h[0], h[1])]
+        oracle_corruptions = [Gate.x(h[2]), Gate.cnot(h[0], 1), Gate.cnot(1, functional),
+                              Gate.cnot(functional, h[0])]
+        for extra in cnot_corruptions + oracle_corruptions:
+            def gates(*args):
+                xs, cnots, rounds = shared_gates(*args)
+                return xs, cnots + (extra,) * (extra in cnot_corruptions), rounds
 
-        monkeypatch.setattr(qmine.miner, "invert", lossy)
-        with pytest.raises(ValueError, match="hash and service registers"):
-            SearchProblem.build([0x51, 0x3B, 0x00, 0x07],
-                                RegisterLayout.standard(4, 8), HP82, 3)
+            def oracle(*args):
+                circuit = build_oracle_(*args)
+                circuit.gates[:0] = [extra] * (extra in oracle_corruptions)
+                return circuit
+
+            monkeypatch.setattr(qmine.miner, "_shared_gates", gates)
+            monkeypatch.setattr(qmine.miner, "build_oracle", oracle)
+            qmine.miner._cached_oracle.cache_clear()
+            qmine.miner._cached_search_tables.cache_clear()
+            with pytest.raises(ValueError, match="hash and service registers"):
+                SearchProblem.build([0x51, 0x3B, 0x00, 0x07], layout, HP82, 3)
 
 
-def iteration_gates(header, layout, params, zeros):
-    """Hash, oracle and unhash of one header, as ``SearchProblem.build`` joins them."""
-    hash_circuit = build_hash_circuit(layout, header, params)
-    return (hash_circuit.gates + build_oracle(layout, zeros).gates
-            + invert(hash_circuit).gates)
+@pytest.fixture
+def cold_caches():
+    """Empty the per-parameter caches before and after a test that corrupts
+    the gates they are built from."""
+    caches = (qmine.toyhash._shared_gates, qmine.miner._cached_oracle,
+              qmine.miner._cached_round_tables, qmine.miner._cached_search_tables)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
 
 
 class TestFusedCompile:
-    """The compile gathers each cached round block through its table and
-    must equal one ``permute_labels`` pass over every gate."""
+    """The compile absorbs the header through the round table and reads the
+    marked set through the cached tables; it must equal one
+    ``permute_labels`` pass over every gate of hash, oracle and unhash."""
 
     @pytest.mark.parametrize("m", range(4, 17))
     @pytest.mark.parametrize("rounds", [1, 2, 8])
@@ -671,101 +698,46 @@ class TestFusedCompile:
             header = data.draw(st.lists(st.integers(0, params.mask), max_size=4))
             zeros = data.draw(st.integers(0, m))
             labels, marked = reference_compile(header, layout, params, zeros)
-            fused = qmine.miner.fused_permute_labels(
-                np.arange(1 << n), iteration_gates(header, layout, params, zeros),
-                layout, params)
-            assert np.array_equal(fused, labels)
+            assert np.array_equal(labels & ~(1 << layout.functional), np.arange(1 << n))
             assert np.array_equal(
                 SearchProblem.build(header, layout, params, zeros).marked, marked)
 
     def test_every_round_block_is_one_gather(self, monkeypatch):
-        # 2 * (4 + 1) round blocks at (4, 12, 2), each one gather, and the
-        # header's X runs folded into them: only the nonce CNOTs, the
-        # oracle and the CNOTs again, in that order, reach permute_labels
+        # with warm caches a build walks no gate and builds no circuit: the
+        # header is a scalar walk through the round table and the marked
+        # set one gather over the 2^n nonces
         layout, params = RegisterLayout.standard(4, 12), HashParams(12, 2)
         header = [0x5A1, 0x003, 0xFFF, 0x800]
         SearchProblem.build(header, layout, params, 4)  # fills the caches
-        cnots = qmine.miner._shared_gates(layout.nonce, layout.hash, params, ())[1]
-        oracle = qmine.miner._cached_oracle(layout, 4).gates
-        runs = []
+        calls = []
 
-        def spy(labels, gates):
-            runs.append(list(gates))
-            return permute_labels(labels, gates)
+        def spy(name, fn):
+            def spied(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return spied
 
-        monkeypatch.setattr(qmine.miner, "permute_labels", spy)
+        for name in ("permute_labels", "build_hash_circuit", "build_oracle",
+                     "build_diffusion", "invert"):
+            monkeypatch.setattr(qmine.miner, name, spy(name, getattr(qmine.miner, name)))
+        monkeypatch.setattr(qmine.circuit.Circuit, "__init__",
+                            spy("Circuit", qmine.circuit.Circuit.__init__))
         problem = SearchProblem.build(header, layout, params, 4)
-        assert [list(map(id, run)) for run in runs] == [
-            list(map(id, cnots)), list(map(id, oracle)), list(map(id, cnots[::-1]))]
+        assert calls == []
         assert np.array_equal(problem.marked,
                               reference_compile(header, layout, params, 4)[1])
 
-    LAYOUT, PARAMS = RegisterLayout.standard(3, 6), HashParams(6, 2, True)
-
-    def splice(self, name):
-        layout = self.LAYOUT
-        block = list(qmine.miner._cached_round_tables(layout, self.PARAMS)[0])
-        reverse = block[::-1]
-        h, functional = layout.hash, layout.functional
-        stray = [Gate.x(h[2]), Gate.cnot(0, h[1]), Gate.swap(h[0], h[5]),
-                 Gate.mcx([(h[4], False), (1, True)], functional)]
-        hash_xs = [Gate.x(h[0]), Gate.x(h[3]), Gate.x(h[0]), Gate.x(h[5])]
-        mixed_xs = [Gate.x(h[1]), Gate.x(0), Gate.x(h[4]), Gate.x(functional)]
-        i = len(block) // 2
-        copy = Gate(block[i].kind, block[i].targets, block[i].controls)
-        return {
-            "replaced": block[:i] + [Gate.cnot(0, h[3])] + block[i + 1:],
-            "replaced-first": [Gate.x(h[0])] + block[1:] + reverse,
-            "replaced-by-equal": block[:i] + [copy] + block[i + 1:] + reverse,
-            "dropped": block[:i] + block[i + 1:] + reverse,
-            "truncated-at-end": block + stray + block[:-3],
-            "back-to-back": block + block + reverse + reverse,
-            "stray-between": stray[:2] + block + stray + block + stray[2:] + reverse,
-            "hash-xs-before-each": hash_xs + block + hash_xs[1:] + reverse + hash_xs[:1],
-            "mixed-xs-before-each": mixed_xs + block + mixed_xs[::-1] + reverse,
-            "hash-xs-at-end": block + stray + reverse + hash_xs,
-            "xs-only": hash_xs + mixed_xs,
-        }[name]
-
-    @pytest.mark.parametrize("name", ["replaced", "replaced-first", "replaced-by-equal",
-                                      "dropped", "truncated-at-end", "back-to-back",
-                                      "stray-between", "hash-xs-before-each",
-                                      "mixed-xs-before-each", "hash-xs-at-end", "xs-only"])
-    def test_spliced_gate_lists(self, name):
-        rng = np.random.default_rng(7)
-        labels = rng.integers(0, 1 << self.LAYOUT.total_qubits, size=64)
-        labels[::2] |= 1 << self.LAYOUT.functional
-        gates = self.splice(name)
-        assert np.array_equal(
-            qmine.miner.fused_permute_labels(labels, gates, self.LAYOUT, self.PARAMS),
-            permute_labels(labels, gates))
-
-    @given(data=st.data())
-    @settings(derandomize=True, deadline=None, max_examples=60)
-    def test_random_splices(self, data):
-        layout, params = self.LAYOUT, self.PARAMS
-        block = list(qmine.miner._cached_round_tables(layout, params)[0])
-        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-        gates = []
-        for _ in range(data.draw(st.integers(1, 6))):
-            part = data.draw(st.sampled_from(["block", "reverse", "cut", "stray",
-                                              "hash-xs", "mixed-xs"]))
-            if part == "stray":
-                gates += random_circuit(layout.total_qubits, 3, rng,
-                                        kinds=("X", "SWAP", "MCX")).gates
-            elif part.endswith("xs"):
-                qubits = layout.hash if part == "hash-xs" else range(layout.total_qubits)
-                gates += [Gate.x(int(q)) for q in rng.choice(qubits, size=4)]
-            elif part == "cut":
-                start = data.draw(st.integers(0, len(block) - 1))
-                gates += block[start:data.draw(st.integers(start, len(block)))]
-            else:
-                gates += block if part == "block" else block[::-1]
-        labels = rng.integers(0, 1 << layout.total_qubits, size=32)
-        labels[::2] |= 1 << layout.functional
-        assert np.array_equal(
-            qmine.miner.fused_permute_labels(labels, gates, layout, params),
-            permute_labels(labels, gates))
+    def test_build_keeps_its_input_errors(self):
+        # the layout and every header block are checked before any table
+        # lookup, with the hash builder's messages
+        with pytest.raises(ValueError, match=r"nonce register \(9 qubits\) must embed"):
+            SearchProblem.build([0x1], RegisterLayout.standard(9, 8), HP82, 3)
+        with pytest.raises(ValueError, match="hash register has 8 qubits, params need 12"):
+            SearchProblem.build([0x1], RegisterLayout.standard(4, 8), HashParams(12, 2), 3)
+        with pytest.raises(ValueError, match="block 0x100 does not fit in 8 bits"):
+            SearchProblem.build([0x1, 0x100], RegisterLayout.standard(4, 8), HP82, 3)
+        with pytest.raises(ValueError, match="zeros must be in 0..8"):
+            SearchProblem.build([0x1], RegisterLayout.standard(4, 8), HP82, 9)
 
     def test_a_block_outside_the_hash_register_is_rejected(self):
         layout = RegisterLayout.standard(2, 4)  # nonce 0-1, hash 2-5, functional 6
@@ -774,6 +746,23 @@ class TestFusedCompile:
         for outside in (Gate.x(1), Gate.cnot(0, 3), Gate.cnot(5, 6), Gate.swap(5, 6)):
             with pytest.raises(ValueError, match="outside the hash register"):
                 qmine.miner._register_table(inside + [outside], layout.hash)
+
+    @pytest.mark.parametrize("m", range(4, 17))
+    @pytest.mark.parametrize("rounds", [1, 2, 8])
+    @pytest.mark.parametrize("true_chi", [False, True])
+    def test_gates_per_iteration_counts_the_lazy_circuits(self, m, rounds, true_chi):
+        # the count from the cached gates equals the lengths of the circuits
+        # built on first use, for random headers of 0-4 blocks
+        params = HashParams(m, rounds, true_chi)
+        rng = np.random.default_rng([m, rounds, true_chi])
+        for size in range(5):
+            n = int(rng.integers(1, m + 1))
+            header = [int(b) for b in rng.integers(0, params.mask + 1, size=size)]
+            problem = SearchProblem.build(header, RegisterLayout.standard(n, m), params,
+                                          int(rng.integers(0, m + 1)))
+            assert problem.gates_per_iteration == sum(
+                len(c) for c in (problem.hash_circuit, problem.oracle,
+                                 problem.hash_inverse, problem.diffusion))
 
 
 class TestSampledReadout:
@@ -830,6 +819,27 @@ class TestCarriedState:
         result = mine_quantum(header, RegisterLayout.standard(4, 8),
                               MiningParams(4, HP82, solution_count_hint=1))
         assert asked == [result.grover_iterations_used] == [iteration_count(4, 1)]
+
+    def test_each_nonce_is_verified_once(self, monkeypatch):
+        # a nonce read again reuses its digest, while hashes_tried still
+        # counts one verification per round
+        hashed = []
+
+        def spy(blocks, params):
+            if len(blocks) == 1:  # header_prefix hashes the 4-block header
+                hashed.append(blocks[0])
+            return hash_classical(blocks, params)
+
+        monkeypatch.setattr(qmine.miner, "hash_classical", spy)
+        tried = 0
+        for seed in range(6):
+            header, _ = find_header_with_count(3, HP82, 8, 0, seed=seed)
+            hashed.clear()
+            result = mine_quantum(header, RegisterLayout.standard(3, 8),
+                                  MiningParams(8, HP82, rng_seed=seed))
+            assert len(hashed) == len(set(hashed)) <= result.hashes_tried
+            tried += result.hashes_tried - len(hashed)
+        assert tried > 0  # some round did read a nonce again
 
 
 def outcome(fn, *args):
