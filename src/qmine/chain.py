@@ -14,10 +14,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from .miner import MiningParams, MiningResult, header_prefix
-from .toyhash import Digest, HashParams, check_block, hash_classical
+from .toyhash import Digest, HashParams, check_block, hash_classical, hash_many
 
 CHAIN_FORMAT_VERSION = "qmine-chain/1"
+SCAN_CHUNK = 256  # nonces mine_classical hashes per hash_many call
 
 REASON_DIGEST_MISMATCH = "digest-mismatch"
 REASON_DIFFICULTY = "difficulty"
@@ -84,25 +87,31 @@ def mine_classical(header_blocks: Sequence[int], params: MiningParams,
                    nonce_bits: int) -> MiningResult:
     """Exhaustive baseline: try nonce 0,1,... and return the first whose
     digest clears the difficulty; ties against the quantum miner are
-    broken toward the smallest nonce by construction."""
+    broken toward the smallest nonce by construction.  ``hash_many`` hashes
+    ``SCAN_CHUNK`` nonces per call, but ``hashes_tried`` counts up to the
+    first solution and nonce 2^m raises only if no smaller nonce solves."""
     hp = params.hash_params
     prefix = header_prefix(header_blocks, hp)
     space = 1 << nonce_bits
-    digest = Digest(0, hp.digest_bits)
-    for value in range(space):
-        digest = hash_classical([prefix ^ check_block(value, hp)], hp)
-        if digest.meets_difficulty(params.difficulty_zeros):
+    fits = min(space, hp.mask + 1)
+    for start in range(0, fits, SCAN_CHUNK):
+        digests = hash_many(prefix, np.arange(start, min(start + SCAN_CHUNK, fits)), hp)
+        solved = np.flatnonzero(digests >> (hp.digest_bits - params.difficulty_zeros) == 0)
+        if solved.size:
+            value = start + int(solved[0])
             return MiningResult(
                 nonce=value, nonce_bits=format(value, f"0{nonce_bits}b"),
-                digest=digest, success=True, grover_iterations_used=0,
-                success_probability_at_measurement=1.0, total_gates=0,
-                hashes_tried=value + 1)
+                digest=Digest(int(digests[solved[0]]), hp.digest_bits), success=True,
+                grover_iterations_used=0, success_probability_at_measurement=1.0,
+                total_gates=0, hashes_tried=value + 1)
+    if fits < space:
+        check_block(fits, hp)  # nonce 2^m, the first that does not fit
     last = space - 1
     return MiningResult(
         nonce=last, nonce_bits=format(last, f"0{nonce_bits}b"),
-        digest=digest, success=False, grover_iterations_used=0,
-        success_probability_at_measurement=0.0, total_gates=0,
-        hashes_tried=space)
+        digest=Digest(int(digests[-1]), hp.digest_bits), success=False,
+        grover_iterations_used=0, success_probability_at_measurement=0.0,
+        total_gates=0, hashes_tried=space)
 
 
 def compute_required_zeros(nonce_bits: int, digest_bits: int) -> int:

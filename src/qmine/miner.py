@@ -25,7 +25,8 @@ from .circuit import Circuit, Gate, apply_circuit, invert
 # new_zero_state stays bound here for tracers that wrap miner.new_zero_state
 from .statevector import _SQRT1_2, StateVector, new_zero_state, permute_labels
 from .toyhash import (Digest, HashParams, _check_layout, _shared_gates,
-                      build_hash_circuit, check_block, hash_classical)
+                      build_hash_circuit, check_block, has_leading_zeros,
+                      hash_classical, hash_many)
 
 UNKNOWN_COUNT_GROWTH = 6 / 5  # per-round budget ratio when the solution count is unknown
 MAX_ESTIMATE_BITS = 1023  # the estimator's counts must convert to finite floats
@@ -398,11 +399,12 @@ def header_prefix(header_blocks: Sequence[int], hash_params: HashParams) -> int:
 def enumerate_solutions(header_blocks: Sequence[int], hash_params: HashParams,
                         nonce_bits: int, zeros: int) -> list[int]:
     """All nonce values whose digest clears the difficulty, by classical
-    exhaustion (desk scale only)."""
+    exhaustion (desk scale only): one ``hash_many`` call over all 2^n
+    nonces, which names nonce 2^m if n > m."""
     prefix = header_prefix(header_blocks, hash_params)
-    return [v for v in range(1 << nonce_bits)
-            if hash_classical([prefix ^ check_block(v, hash_params)], hash_params)
-            .meets_difficulty(zeros)]
+    has_leading_zeros(0, hash_params.digest_bits, zeros)  # zeros out of range raises
+    digests = hash_many(prefix, np.arange(1 << nonce_bits), hash_params)
+    return np.flatnonzero(digests >> (hash_params.digest_bits - zeros) == 0).tolist()
 
 
 # -- the miner -------------------------------------------------------------------
@@ -452,7 +454,7 @@ def mine_quantum(header_blocks: Sequence[int], layout: RegisterLayout,
         problem = SearchProblem.build(header_blocks, layout, hp, zeros)
     prefix = header_prefix(header_blocks, hp)
     amplitudes = problem.prepared()
-    rng = np.random.default_rng(params.rng_seed)
+    rng = None if exact_readout else np.random.default_rng(params.rng_seed)
     digests: dict[int, Digest] = {}  # a nonce read again is not hashed again
 
     def run_round(more_iterations: int) -> tuple[int, np.ndarray, Digest, bool]:

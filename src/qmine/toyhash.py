@@ -4,8 +4,8 @@ Single-rate sponge (block width = digest width) over an m-bit state,
 4 <= m <= 16, built solely from XOR / AND / rotate / constants so it has
 a direct reversible-circuit realization.  Two implementations are
 provided and must agree bit-for-bit: the classical reference
-(``hash_classical``) and the circuit builders that hash every nonce
-value in superposition.
+(``hash_classical``; ``hash_many`` runs its rounds on a nonce array) and
+the circuit builders that hash every nonce value in superposition.
 
 Round structure (sequential in-place semantics, index ascending — the
 circuit is a gate-for-gate transcription, so the classical code must
@@ -26,6 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
+
+import numpy as np
 
 from .circuit import Circuit, Gate, emit_rotate_left
 
@@ -107,9 +109,14 @@ def round_constant(round_index: int, digest_bits: int) -> int:
 
 def permute(state_bits: int, params: HashParams) -> int:
     """Apply the full r-round permutation to an m-bit state value."""
-    m = params.digest_bits
     if not 0 <= state_bits <= params.mask:
-        raise ValueError(f"state {state_bits:#x} does not fit in {m} bits")
+        raise ValueError(f"state {state_bits:#x} does not fit in {params.digest_bits} bits")
+    return _rounds(state_bits, params)
+
+
+def _rounds(state_bits, params: HashParams):
+    """``permute`` unchecked, on an int or elementwise on an int64 array."""
+    m = params.digest_bits
     bits = [(state_bits >> i) & 1 for i in range(m)]
     for j in range(params.rounds):
         for i in range(m):
@@ -132,6 +139,18 @@ def hash_classical(message_blocks: Sequence[int], params: HashParams) -> Digest:
         state ^= check_block(block, params)
         state = permute(state, params)
     return Digest(state, params.digest_bits)
+
+
+def hash_many(prefix: int, values: np.ndarray, params: HashParams) -> np.ndarray:
+    """``hash_classical([prefix ^ v]).value`` for each v of ``values`` as an
+    int64 array, through the rounds run on all v at once; an out-of-range
+    prefix or value raises ``check_block``'s error for the lowest one."""
+    values = np.asarray(values, dtype=np.int64)
+    check_block(prefix, params)
+    outside = values[(values < 0) | (values > params.mask)]
+    if outside.size:
+        check_block(int(outside.min()), params)
+    return _rounds(values ^ prefix, params)
 
 
 def check_block(block: int, params: HashParams) -> int:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from functools import lru_cache
 from itertools import groupby
 
 import numpy as np
@@ -92,6 +93,16 @@ def reference_compile(header_blocks, layout: RegisterLayout, params: HashParams,
                             hash_circuit.gates + build_oracle(layout, zeros).gates
                             + invert(hash_circuit).gates)
     return labels, (labels & (1 << layout.functional)) != 0
+
+
+@lru_cache(maxsize=None)
+def sponge_table(params: HashParams) -> np.ndarray:
+    """Entry v is ``hash_classical([v]).value``, the sponge permutation of
+    state v, for every m-bit v; built once per parameter set and read-only."""
+    table = np.array([hash_classical([v], params).value
+                      for v in range(1 << params.digest_bits)])
+    table.setflags(write=False)
+    return table
 
 
 def reference_enumerate_solutions(header_blocks, hash_params: HashParams,

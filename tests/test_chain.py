@@ -1,17 +1,19 @@
 import dataclasses
+import functools
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qmine import (Block, BlockHeader, Chain, HashParams, MiningParams,
-                   RegisterLayout, compute_required_zeros, hash_classical,
-                   load_chain, mine_classical, mine_quantum, save_chain,
-                   serialize_header, validate_block, validate_chain)
+                   RegisterLayout, compute_required_zeros, enumerate_solutions,
+                   hash_classical, load_chain, mine_classical, mine_quantum,
+                   save_chain, serialize_header, validate_block, validate_chain)
 import qmine.chain
-from qmine.chain import header_digest
+from qmine.chain import SCAN_CHUNK, header_digest
 from qmine.toyhash import Digest
-from helpers import find_header_with_count
+from helpers import find_header_with_count, reference_mine_classical
 
 HP = HashParams(8, 2)
 
@@ -50,6 +52,7 @@ class TestMineClassical:
     def test_zero_difficulty(self):
         result = mine_classical([0x42], make_params(0), nonce_bits=4)
         assert result.success and result.nonce == 0 and result.hashes_tried == 1
+        assert result == reference_mine_classical([0x42], make_params(0), 4)
 
     def test_returns_smallest_solution(self):
         header, solutions = find_header_with_count(4, HP, 2, 3, seed=11)
@@ -76,6 +79,58 @@ class TestMineClassical:
         quantum = mine_quantum(header, RegisterLayout.standard(6, 8),
                                make_params(3, rng_seed=seed))
         assert quantum.success and quantum.nonce in solutions
+
+
+SCAN_N, SCAN_PARAMS = 10, MiningParams(8, HashParams(16, 2))
+
+
+@functools.lru_cache(maxsize=1)
+def first_solution_headers() -> dict:
+    """Seeded search of random 4-block headers for one whose first solution
+    at ``SCAN_N``, ``SCAN_PARAMS`` is at each index around the first chunk
+    boundary, and for one with no solution (key None)."""
+    targets = {0, SCAN_CHUNK - 1, SCAN_CHUNK, SCAN_CHUNK + 1, None}
+    hp, rng, found = SCAN_PARAMS.hash_params, np.random.default_rng(9), {}
+    for _ in range(5000):
+        header = [int(b) for b in rng.integers(0, hp.mask + 1, size=4)]
+        solutions = enumerate_solutions(header, hp, SCAN_N, SCAN_PARAMS.difficulty_zeros)
+        found.setdefault(solutions[0] if solutions else None, header)
+        if targets <= found.keys():
+            return {t: found[t] for t in targets}
+    raise AssertionError(f"no header for {targets - found.keys()}")
+
+
+class TestChunkedScan:
+    """``mine_classical`` hashes whole chunks of nonces but reports what a
+    one-by-one scan reports."""
+
+    @pytest.mark.parametrize("first", [0, SCAN_CHUNK - 1, SCAN_CHUNK,
+                                       SCAN_CHUNK + 1, None])
+    def test_first_solution_around_a_chunk_boundary(self, first):
+        header = first_solution_headers()[first]
+        result = mine_classical(header, SCAN_PARAMS, SCAN_N)
+        assert result == reference_mine_classical(header, SCAN_PARAMS, SCAN_N)
+        if first is None:
+            assert not result.success and result.hashes_tried == 1 << SCAN_N
+        else:
+            assert result.nonce == first and result.hashes_tried == first + 1
+
+    def test_past_several_chunks_at_the_top_size(self):
+        hp = HashParams(16, 8, true_chi=True)
+        header = [int(b) for b in np.random.default_rng(1).integers(0, 1 << 16, size=4)]
+        params = MiningParams(10, hp)
+        result = mine_classical(header, params, 16)
+        assert result == reference_mine_classical(header, params, 16)
+        assert result.hashes_tried > 4 * SCAN_CHUNK
+
+    def test_nonce_past_the_block_raises_only_without_solution(self, monkeypatch):
+        # no 4-bit header leaves its 16 in-range nonces unsolved, so a fake
+        # hash that solves none stands in for one
+        hp = HashParams(4, 2)
+        monkeypatch.setattr(qmine.chain, "hash_many",
+                            lambda prefix, values, params: np.full(len(values), hp.mask))
+        with pytest.raises(ValueError, match="^block 0x10 does not fit in 4 bits$"):
+            mine_classical([0x3], MiningParams(1, hp), 6)
 
 
 class TestComputeRequiredZeros:

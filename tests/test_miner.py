@@ -455,6 +455,24 @@ class TestMineQuantum:
             mine_quantum(header, layout, mining, exact_readout=exact),
             reference_mine_quantum(header, layout, mining, exact_readout=exact))
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_exact_readout_builds_no_generator(self, seed, monkeypatch):
+        # headers of any solution count, so some runs take several rounds
+        rng = np.random.default_rng(seed)
+        header = [int(b) for b in rng.integers(0, HP82.mask + 1, size=4)]
+        layout = RegisterLayout.standard(4, 8)
+        mining = MiningParams(int(rng.integers(3, 6)), HP82, rng_seed=seed)
+        reference = reference_mine_quantum(header, layout, mining, exact_readout=True)
+
+        def refuse(*args):
+            raise AssertionError("a generator was built")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        assert_matches_reference(
+            mine_quantum(header, layout, mining, exact_readout=True), reference)
+        with pytest.raises(AssertionError, match="a generator was built"):
+            mine_quantum(header, layout, mining)
+
     @pytest.mark.parametrize("n, m", [(2, 4), (3, 6), (4, 8), (5, 8), (6, 10), (8, 12)])
     def test_exact_readout_is_the_lowest_nonce_of_its_class(self, n, m):
         # headers with two or more solutions, with and without a hint: a
@@ -884,6 +902,15 @@ class TestHeaderPrefix:
                     reference_mine_classical(header, params, n)
                 solvable.add(bool(solutions))
         assert solvable == {False, True}
+
+    @pytest.mark.parametrize("zeros", [-1, 5])
+    def test_zeros_out_of_range_named_before_a_wide_nonce(self, zeros):
+        # the one-by-one loop checked zeros at nonce 0, before reaching 0x10
+        hp = HashParams(4, 2)
+        for n in (3, 6):
+            error = outcome(enumerate_solutions, [0x3], hp, n, zeros)
+            assert error == outcome(reference_enumerate_solutions, [0x3], hp, n, zeros)
+            assert error == f"ValueError: zeros must be in 0..4, got {zeros}"
 
     @pytest.mark.parametrize("header", [[], [0x3], [0x9, 0x0, 0xF, 0x4]])
     def test_nonce_wider_than_the_digest(self, header):

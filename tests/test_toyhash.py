@@ -10,9 +10,10 @@ from qmine import (Circuit, Gate, HashParams, RegisterLayout, apply_circuit,
                    build_hash_circuit_outofplace, format_circuit, hash_classical,
                    invert, new_zero_state)
 from qmine.miner import _cached_round_tables, _register_table
-from qmine.toyhash import _emit_absorbs, permute, round_constant
+from qmine.toyhash import (_emit_absorbs, check_block, hash_many, permute,
+                           round_constant)
 from helpers import (hash_oracle, permute_oracle, reference_hash_circuit,
-                     set_register)
+                     set_register, sponge_table)
 
 DATA = Path(__file__).parent / "data"
 
@@ -113,6 +114,49 @@ class TestHashClassical:
             blocks = [int(b, 16) for b in row["header_blocks_hex"].split(":")]
             blocks.append(int(row["nonce_hex"], 16))
             assert hash_classical(blocks, params).hex == row["digest_hex"], row
+
+
+class TestHashMany:
+    """``hash_many`` runs the rounds of ``permute`` on a whole array."""
+
+    @pytest.mark.parametrize("m, rounds", [(m, r) for m in range(4, 17) for r in (1, 2)]
+                             + [(m, 8) for m in range(4, 13)])
+    @pytest.mark.parametrize("true_chi", [False, True])
+    def test_equals_hash_classical_exhaustively(self, m, rounds, true_chi):
+        # with a nonzero prefix every value v is hashed as state prefix ^ v
+        params, prefix = HashParams(m, rounds, true_chi), round_constant(5, m)
+        values = np.arange(1 << m)
+        assert np.array_equal(hash_many(prefix, values, params),
+                              sponge_table(params)[prefix ^ values])
+
+    @pytest.mark.parametrize("true_chi", [False, True])
+    def test_eight_rounds_sampled_at_the_top_size(self, true_chi):
+        params, prefix = HashParams(16, 8, true_chi), 0x79B9
+        values = np.random.default_rng(16).integers(0, 1 << 16, size=2000)
+        assert hash_many(prefix, values, params).tolist() == \
+            [hash_classical([prefix ^ int(v)], params).value for v in values]
+
+    def test_int64_result_and_input_untouched(self):
+        values = np.arange(255, -1, -1)
+        digests = hash_many(0x5A, values, HashParams(8, 2))
+        assert digests.dtype == np.int64
+        assert (values == np.arange(255, -1, -1)).all()
+
+    def test_empty(self):
+        digests = hash_many(0x5A, np.arange(0), HashParams(8, 2))
+        assert digests.dtype == np.int64 and digests.shape == (0,)
+
+    @pytest.mark.parametrize("prefix, values, lowest", [
+        (0x10, [1, 2], 0x10),
+        (0x3, [7, 0x13, 0x11, 0x12], 0x11),
+        (0x3, [7, 0x13, -2, -1], -2),
+    ])
+    def test_out_of_range_names_the_lowest(self, prefix, values, lowest):
+        params = HashParams(4, 2)
+        with pytest.raises(ValueError) as expected:
+            check_block(lowest, params)
+        with pytest.raises(ValueError, match=f"^{expected.value}$"):
+            hash_many(prefix, np.array(values), params)
 
 
 def run_circuit_digest(layout, circuit, nonce_value):
@@ -229,7 +273,7 @@ class TestRoundTables:
     def test_tables_equal_the_sponge(self, m, rounds, true_chi):
         params = HashParams(m, rounds, true_chi)
         _, forward = _cached_round_tables(RegisterLayout.standard(1, m), params)
-        assert forward.tolist() == [permute(v, params) for v in range(1 << m)]
+        assert np.array_equal(forward, sponge_table(params))
         assert forward.dtype == (np.uint8 if m <= 8 else np.uint16)
         assert not forward.flags.writeable
 
