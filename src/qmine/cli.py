@@ -315,10 +315,9 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
     if cfg.dump_circuits:
         _dump_circuits(cfg.dump_circuits, problem)
 
-    amplitudes = problem.prepared()
     rows = []
     for k in range(k_max + 1):
-        dist = problem.run(amplitudes, 1 if k else 0)
+        dist = problem.distribution(k)
         simulated = float(dist[solutions].sum())
         analytic = analytic_success_probability(cfg.n, count, k)
         rows.append([k, _fmt(simulated), _fmt(analytic),

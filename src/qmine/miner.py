@@ -23,7 +23,7 @@ import numpy as np
 
 from .circuit import Circuit, Gate, apply_circuit, invert
 # new_zero_state stays bound here for tracers that wrap miner.new_zero_state
-from .statevector import _SQRT1_2, StateVector, new_zero_state, permute_labels
+from .statevector import StateVector, new_zero_state, permute_labels
 from .toyhash import (Digest, HashParams, _check_layout, _shared_gates,
                       build_hash_circuit, check_block, has_leading_zeros,
                       hash_classical, hash_many)
@@ -135,7 +135,8 @@ def build_diffusion(layout: RegisterLayout) -> Circuit:
     """Reflection about the uniform superposition, acting only on the
     nonce register: H^n X^n (H MCX H on the last qubit) X^n H^n.  H MCX H
     is a phase flip on |1...1>, so the circuit is exactly 1 - 2|s><s|, the
-    operator ``SearchProblem.run`` applies as b - 2 mean(b)."""
+    reflection ``SearchProblem.distribution`` applies to its two class
+    amplitudes."""
     nonce = layout.nonce
     n = len(nonce)
     if n == 0:
@@ -186,9 +187,9 @@ class SearchProblem:
     |1> branch is exactly -b), so hash, oracle and unhash only negate b on
     the ``marked`` nonces, marks[absorb ^ prefix] (``_cached_search_tables``)
     for the sponge state the header leaves.  The diffusion circuit is
-    1 - 2|s><s| on the nonce register, so ``run`` keeps the 2^n amplitudes b
-    and applies it as b - 2 mean(b).  Each problem builds its own circuits
-    on first use."""
+    1 - 2|s><s| on the nonce register.  Both keep all marked nonces at one
+    amplitude and all others at another, so ``distribution`` follows those
+    two, not b.  Each problem builds its own circuits on first use."""
 
     layout: RegisterLayout
     header_blocks: tuple[int, ...]
@@ -236,20 +237,20 @@ class SearchProblem:
         return (2 * absorbs + len(_cached_oracle(self.layout, self.zeros))
                 + len(_cached_diffusion(self.layout)))
 
-    def prepared(self) -> np.ndarray:
-        """The amplitudes b of ``prepare``'s state, as ``run`` takes them:
-        each of its n + 1 H gates scales every non-zero amplitude by 1/sqrt(2)."""
-        scale = math.prod([_SQRT1_2] * (len(self.layout.nonce) + 1))
-        return np.full(len(self.marked), scale, dtype=np.complex128)
-
-    def run(self, b: np.ndarray, iterations: int) -> np.ndarray:
-        """Apply ``iterations`` more search iterations to ``b`` in place and
-        return the distribution of the nonce register."""
+    def distribution(self, iterations: int) -> np.ndarray:
+        """The nonce distribution after ``iterations`` search iterations from
+        ``prepare``'s state.  With N = 2^n and M marked, the marked and other
+        amplitudes are A and C over sqrt(N) N^k, integers that start at 1
+        and map to (2M - N) A - 2(N - M) C and 2M A + (2M - N) C per
+        iteration; each probability, A^2 or C^2 over N^(2k+1), is one
+        correctly rounded int / int division."""
+        space, count = len(self.marked), int(self.marked.sum())
+        a = c = 1
         for _ in range(iterations):
-            np.negative(b, out=b, where=self.marked)
-            b -= 2 * (b.sum() / len(b))  # b.mean()'s float operations
-        p = b.real * b.real + b.imag * b.imag
-        return p + p  # both functional branches, in the order readout adds them
+            a, c = ((2 * count - space) * a - 2 * (space - count) * c,
+                    2 * count * a + (2 * count - space) * c)
+        scale = space ** (2 * iterations + 1)
+        return np.where(self.marked, a * a / scale, c * c / scale)
 
 
 @lru_cache(maxsize=8)
@@ -431,19 +432,15 @@ def mine_quantum(header_blocks: Sequence[int], layout: RegisterLayout,
     max_grover_rounds * ceil(pi/4 * sqrt(2^n)) is exhausted — failure
     then may mean no solution exists.
 
-    Readout does not change the amplitudes, and each round's budget is at
-    least the last one's, so one state is carried across the rounds and
-    advanced by the difference: a header simulates max k_t iterations,
-    although ``grover_iterations_used`` reports sum k_t, the cost of
-    restarting every round as a device must.
+    Every round restarts from the prepared state, as a device must.
 
     ``exact_readout`` replaces sampling with the argmax-probability
-    nonce for deterministic runs; sampling uses params.rng_seed.  The
-    iterations leave every marked nonce with one probability and every
-    unmarked nonce with another, bit for bit, so exact readout returns the
-    lowest nonce of the more likely class: the lowest solution whenever it
-    succeeds.  Where the two classes are equally likely in exact arithmetic,
-    as at M = 2^n / 2, rounding decides between them.
+    nonce for deterministic runs; sampling uses params.rng_seed.  It reads
+    the lowest nonce of the strictly likelier class, the lowest solution
+    whenever it succeeds.  The classes tie only where A^2 = C^2 in
+    ``SearchProblem.distribution``, which by Niven's theorem needs M / 2^n
+    in {1/4, 1/2, 3/4}; every nonce is then equally likely, and exact
+    readout returns nonce 0.
     ``problem`` is the header's ``SearchProblem``, when the caller has
     built it already.
     """
@@ -453,12 +450,11 @@ def mine_quantum(header_blocks: Sequence[int], layout: RegisterLayout,
     if problem is None:
         problem = SearchProblem.build(header_blocks, layout, hp, zeros)
     prefix = header_prefix(header_blocks, hp)
-    amplitudes = problem.prepared()
     rng = None if exact_readout else np.random.default_rng(params.rng_seed)
     digests: dict[int, Digest] = {}  # a nonce read again is not hashed again
 
-    def run_round(more_iterations: int) -> tuple[int, np.ndarray, Digest, bool]:
-        dist = problem.run(amplitudes, more_iterations)
+    def run_round(iterations: int) -> tuple[int, np.ndarray, Digest, bool]:
+        dist = problem.distribution(iterations)
         value = int(np.argmax(dist)) if exact_readout else sample_readout(dist, rng)
         if value not in digests:
             digests[value] = hash_classical([prefix ^ value], hp)
@@ -486,14 +482,12 @@ def mine_quantum(header_blocks: Sequence[int], layout: RegisterLayout,
     budget_cap = params.max_grover_rounds * math.ceil(math.pi / 4 * math.sqrt(1 << n))
     used = 0
     hashes = 0
-    k_last = 0
     t = 0
     while True:
         k_t = math.ceil(UNKNOWN_COUNT_GROWTH ** t)
-        value, dist, digest, ok = run_round(k_t - k_last)
+        value, dist, digest, ok = run_round(k_t)
         used += k_t
         hashes += 1
         if ok or used > budget_cap:
             return result(value, digest, ok, used, dist, hashes)
-        k_last, dist = k_t, None  # not held while the next round runs
         t += 1

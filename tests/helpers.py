@@ -333,17 +333,19 @@ def reference_mine_quantum(header_blocks, layout: RegisterLayout,
 
 
 def assert_matches_reference(result: MiningResult, reference: MiningResult) -> None:
-    """Every field equal, except the solution mass: the reflection about the
-    mean and the gate-by-gate reference round it differently, to 1e-12."""
+    """Every field equal, except the solution mass: the two class amplitudes
+    and the gate-by-gate reference round it differently, to 1e-12."""
     mass = reference.success_probability_at_measurement
     assert abs(result.success_probability_at_measurement - mass) <= 1e-12
     assert replace(result, success_probability_at_measurement=mass) == reference
 
 
 def reference_run(problem: SearchProblem, b: np.ndarray, iterations: int) -> np.ndarray:
-    """``SearchProblem.run`` with the diffusion circuit applied gate by gate to
-    the 2^n amplitudes: each H as a butterfly, each run of X/SWAP/MCX gates as
-    one gather.  It rounds as the dense state vector does, bit for bit."""
+    """Apply ``iterations`` more search iterations to the 2^n amplitudes ``b``
+    in place and return the nonce distribution: the negation on the problem's
+    ``marked`` nonces, then the diffusion circuit gate by gate, each H as a
+    butterfly and each run of X/SWAP/MCX gates as one gather.  It rounds as
+    the dense state vector does, bit for bit."""
     nonces = np.arange(len(b))
     steps = []
     for is_h, run in groupby(problem.diffusion.gates, key=lambda g: g.kind == "H"):

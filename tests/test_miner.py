@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -533,27 +535,25 @@ class TestNonceAxisEngine:
     def test_run_equals_grover_iteration(self, n, m):
         # the reference run's amplitudes b are the functional-|0> branch of
         # the full state and -b its |1> branch, bit for bit, up to twice the
-        # optimum; the reflection about the mean agrees with them to 1e-12
+        # optimum; the two-class distribution agrees with theirs to 1e-12
         _, params, header, zeros = random_search(n, m)
         layout = RegisterLayout.standard(n, m)
         problem = SearchProblem.build(header, layout, params, zeros)
         state = new_zero_state(layout.total_qubits)
         prepare(state, layout)
-        b, reference = problem.prepared(), problem.prepared()
+        reference = state.amplitudes[:1 << n].copy()
         branch = 1 << layout.functional
         optimum = iteration_count(n, max(int(problem.marked.sum()), 1))
         for k in range(2 * max(optimum, 1) + 1):
             if k:
                 grover_iteration(state, layout, problem.hash_circuit,
                                  problem.oracle, problem.diffusion)
-            dist = problem.run(b, 1 if k else 0)
             reference_dist = reference_run(problem, reference, 1 if k else 0)
             assert np.array_equal(reference, state.amplitudes[:1 << n])
             assert np.array_equal(-reference, state.amplitudes[branch:branch + (1 << n)])
             assert np.array_equal(reference_dist,
                                   state.register_distribution(layout.nonce))
-            assert np.abs(b - reference).max() <= 1e-12
-            assert np.abs(dist - reference_dist).max() <= 1e-12
+            assert np.abs(problem.distribution(k) - reference_dist).max() <= 1e-12
 
     @pytest.mark.parametrize("n, m", SIZES_TO_21)
     def test_two_level_law_per_nonce(self, n, m):
@@ -566,16 +566,61 @@ class TestNonceAxisEngine:
         marked, space = problem.marked, 1 << n
         count = int(marked.sum())
         theta = math.asin(math.sqrt(count / space))
-        b = problem.prepared()
         optimum = iteration_count(n, max(count, 1))
         for k in range(2 * max(optimum, 1) + 2):
-            dist = problem.run(b, 1 if k else 0)
+            dist = problem.distribution(k)
             angle = (2 * k + 1) * theta
             if count:
                 assert np.abs(dist[marked] - math.sin(angle) ** 2 / count).max() <= 1e-12
             if count < space:
                 assert np.abs(dist[~marked] - math.cos(angle) ** 2
                               / (space - count)).max() <= 1e-12
+
+    @pytest.mark.parametrize("n, zeros, count, ties, hints", [
+        (4, 2, 4, (0, 2, 3, 5, 6), (1, 2)),  # M / 2^n = 1/4, hinted k = 3 and 2
+        (4, 1, 8, range(7), (1, 2, None)),   # 1/2
+        (2, 1, 3, (0, 2, 3, 5, 6), (None,)),  # 3/4, the last round at k = 2
+    ])
+    def test_exact_ties_are_uniform_and_read_nonce_0(self, n, zeros, count, ties, hints):
+        # at these k, A^2 = C^2 and every nonce has probability exactly
+        # 1 / 2^n; each run below ends on one, where exact readout reads
+        # nonce 0, as the dense reference does, although 0 is no solution
+        layout = RegisterLayout.standard(n, 8)
+        header, solutions = next(
+            found for seed in itertools.count()
+            if 0 not in (found := find_header_with_count(n, HP82, zeros, count, seed=seed))[1])
+        problem = SearchProblem.build(header, layout, HP82, zeros)
+        assert np.flatnonzero(problem.marked).tolist() == solutions
+        for k in ties:
+            assert (problem.distribution(k) == 1 / (1 << n)).all()
+        for hint in hints:
+            mining = MiningParams(zeros, HP82, solution_count_hint=hint)
+            result = mine_quantum(header, layout, mining, exact_readout=True)
+            assert_matches_reference(result, reference_mine_quantum(
+                header, layout, mining, exact_readout=True))
+            last = (iteration_count(n, hint) if hint else
+                    math.ceil(UNKNOWN_COUNT_GROWTH ** (result.hashes_tried - 1)))
+            assert last in ties
+            assert result.nonce == 0 and not result.success
+
+    def test_distribution_allocates_no_amplitude_array(self):
+        # the integers grow with k, but no 2^n array is made per iteration:
+        # the peak at k = 600 stays within that at k = 1 plus a fixed slack,
+        # and below the size of one complex 2^16 array
+        problem = SearchProblem.build([1, 2, 3, 4], RegisterLayout.standard(16, 16),
+                                      HashParams(16, 2), 2)
+
+        def peak(iterations):
+            tracemalloc.start()
+            try:
+                problem.distribution(iterations)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one, many = peak(1), peak(600)
+        assert one < (1 << 16) * np.dtype(np.complex128).itemsize
+        assert many <= one + (64 << 10)
 
     @pytest.mark.parametrize("n", range(1, 17))
     def test_diffusion_circuit_is_the_reflection_about_the_mean(self, n):
@@ -615,16 +660,14 @@ class TestNonceAxisEngine:
         assert np.array_equal(problem.marked, solutions)
         state = new_zero_state(layout.total_qubits)
         prepare(state, layout)
-        b, reference = problem.prepared(), problem.prepared()
-        for _ in range(3):
+        reference = state.amplitudes[:1 << n].copy()
+        for k in range(1, 4):
             grover_iteration(state, layout, hash_circuit, oracle, diffusion)
-            dist = problem.run(b, 1)
             reference_dist = reference_run(problem, reference, 1)
             assert np.array_equal(reference, state.amplitudes[:1 << n])
             assert np.array_equal(reference_dist,
                                   state.register_distribution(layout.nonce))
-            assert np.abs(b - reference).max() <= 1e-12
-            assert np.abs(dist - reference_dist).max() <= 1e-12
+            assert np.abs(problem.distribution(k) - reference_dist).max() <= 1e-12
 
     def test_marked_follows_a_corrupted_hash_circuit(self, monkeypatch, cold_caches):
         # flip one control and drop one X of every cached round block: the
@@ -807,29 +850,29 @@ class TestSampledReadout:
 
 
 class TestCarriedState:
-    """One state per header, advanced by each round's extra budget."""
+    """What a header's rounds share: the digests read, not the state."""
 
     @pytest.fixture
     def asked(self, monkeypatch):
         asked = []
-        run = SearchProblem.run
+        distribution = SearchProblem.distribution
 
-        def spy(problem, b, iterations):
+        def spy(problem, iterations):
             asked.append(iterations)
-            return run(problem, b, iterations)
+            return distribution(problem, iterations)
 
-        monkeypatch.setattr(SearchProblem, "run", spy)
+        monkeypatch.setattr(SearchProblem, "distribution", spy)
         return asked
 
-    def test_unknown_count_simulates_the_last_budget(self, asked):
+    def test_unknown_count_restarts_every_round(self, asked):
         # no solution, so every round up to the budget cap runs
         header, _ = find_header_with_count(4, HP82, 8, 0, seed=4)
         result = mine_quantum(header, RegisterLayout.standard(4, 8),
                               MiningParams(8, HP82, rng_seed=5))
         budgets = [math.ceil(UNKNOWN_COUNT_GROWTH ** t)
                    for t in range(result.hashes_tried)]
-        assert len(asked) == len(budgets) > 2
-        assert sum(asked) == budgets[-1]
+        assert len(budgets) > 2
+        assert asked == budgets
         assert result.grover_iterations_used == sum(budgets)
 
     def test_hint_runs_once(self, asked):
