@@ -23,8 +23,9 @@ from .chain import (Block, BlockHeader, Chain, compute_required_zeros, json_bool
 from .circuit import format_circuit
 from .miner import (MiningParams, MiningResult, RegisterLayout, SearchProblem,
                     analytic_success_probability, enumerate_solutions,
-                    estimate_resources, iteration_count, mine_quantum)
-from .toyhash import HashParams
+                    estimate_resources, gates_per_iteration, iteration_count,
+                    mine_quantum)
+from .toyhash import HashParams, has_leading_zeros
 
 EXIT_OK = 0
 EXIT_INVALID_CHAIN = 1
@@ -124,8 +125,8 @@ ESTIMATE_OPTIONS = (
     _opt("gates_per_iteration", 1, json_int, type=int,
          help="gates charged per search iteration (default 1)"),
     _opt("measured", False, json_bool, action=_BOOL,
-         help="count gates per iteration from the circuits built for a "
-              "desk-scale search (no simulation)"),
+         help="charge the gates of one desk-scale search iteration, "
+              "counted from the circuit builders' structure"),
 )
 
 
@@ -316,8 +317,7 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
         _dump_circuits(cfg.dump_circuits, problem)
 
     rows = []
-    for k in range(k_max + 1):
-        dist = problem.distribution(k)
+    for k, dist in zip(range(k_max + 1), problem.distributions()):
         simulated = float(dist[solutions].sum())
         analytic = analytic_success_probability(cfg.n, count, k)
         rows.append([k, _fmt(simulated), _fmt(analytic),
@@ -337,8 +337,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         hp = _hash_params(args)
         zeros = _required_zeros(args.zeros, args.measure_n, hp.digest_bits)
         layout = RegisterLayout.standard(args.measure_n, hp.digest_bits)
-        args.gates_per_iteration = SearchProblem.build(
-            [0, 0, 0, 0], layout, hp, zeros).gates_per_iteration
+        args.gates_per_iteration = gates_per_iteration(layout, [0, 0, 0, 0], hp)
+        has_leading_zeros(0, hp.digest_bits, zeros)  # zeros out of range raises
         source = (f"measured at n={args.measure_n} m={hp.digest_bits} "
                   f"rounds={hp.rounds} zeros={zeros}")
 

@@ -17,7 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Sequence
+from itertools import count
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .circuit import Circuit, Gate, apply_circuit, invert
 from .statevector import StateVector, new_zero_state, permute_labels
 from .toyhash import (Digest, HashParams, _check_layout, _shared_gates,
                       build_hash_circuit, check_block, has_leading_zeros,
-                      hash_classical, hash_many)
+                      hash_classical, hash_gate_count, hash_many)
 
 UNKNOWN_COUNT_GROWTH = 6 / 5  # per-round budget ratio when the solution count is unknown
 MAX_ESTIMATE_BITS = 1023  # the estimator's counts must convert to finite floats
@@ -227,15 +228,8 @@ class SearchProblem:
 
     @property
     def gates_per_iteration(self) -> int:
-        """Gates one iteration applies, counted from the cached gates: hash
-        and unhash each absorb a header block as its X gates and the rounds,
-        and the nonce as its CNOTs and the rounds."""
-        _, cnots, rounds = _shared_gates(self.layout.nonce, self.layout.hash,
-                                         self.hash_params, ())
-        absorbs = (sum(bin(b).count("1") for b in self.header_blocks) + len(cnots)
-                   + (len(self.header_blocks) + 1) * len(rounds))
-        return (2 * absorbs + len(_cached_oracle(self.layout, self.zeros))
-                + len(_cached_diffusion(self.layout)))
+        """The module's ``gates_per_iteration`` for this header's search."""
+        return gates_per_iteration(self.layout, self.header_blocks, self.hash_params)
 
     def distribution(self, iterations: int) -> np.ndarray:
         """The nonce distribution after ``iterations`` search iterations from
@@ -244,23 +238,28 @@ class SearchProblem:
         and map to (2M - N) A - 2(N - M) C and 2M A + (2M - N) C per
         iteration; each probability, A^2 or C^2 over N^(2k+1), is one
         correctly rounded int / int division."""
-        space, count = len(self.marked), int(self.marked.sum())
+        return next(self.distributions(iterations))
+
+    def distributions(self, first: int = 0) -> Iterator[np.ndarray]:
+        """``distribution(k)`` for k = first, first + 1, ..., carrying A and C
+        from one k to the next and dividing only at the k yielded."""
+        space, solutions = len(self.marked), int(self.marked.sum())
         a = c = 1
-        for _ in range(iterations):
-            a, c = ((2 * count - space) * a - 2 * (space - count) * c,
-                    2 * count * a + (2 * count - space) * c)
-        scale = space ** (2 * iterations + 1)
-        return np.where(self.marked, a * a / scale, c * c / scale)
+        for k in count():
+            if k >= first:
+                scale = space ** (2 * k + 1)
+                yield np.where(self.marked, a * a / scale, c * c / scale)
+            a, c = ((2 * solutions - space) * a - 2 * (space - solutions) * c,
+                    2 * solutions * a + (2 * solutions - space) * c)
 
 
-@lru_cache(maxsize=8)
-def _cached_oracle(layout: RegisterLayout, zeros: int) -> Circuit:
-    return build_oracle(layout, zeros)
-
-
-@lru_cache(maxsize=8)
-def _cached_diffusion(layout: RegisterLayout) -> Circuit:
-    return build_diffusion(layout)
+def gates_per_iteration(layout: RegisterLayout, header_blocks: Sequence[int],
+                        hash_params: HashParams) -> int:
+    """Gates one search iteration applies, from the builders' structure: hash
+    and unhash, the oracle's one gate and the diffusion's 4n + 3."""
+    _check_layout(layout, hash_params)
+    n = len(layout.nonce)
+    return 2 * hash_gate_count(n, header_blocks, hash_params) + 1 + 4 * n + 3
 
 
 @lru_cache(maxsize=8)
@@ -273,7 +272,7 @@ def _cached_round_tables(layout: RegisterLayout, hash_params: HashParams) -> tup
 @lru_cache(maxsize=8)
 def _cached_search_tables(layout: RegisterLayout, hash_params: HashParams,
                           zeros: int) -> tuple:
-    """The round table ``forward`` and, read off the cached gates, ``absorb``,
+    """The round table ``forward`` and, read off the gates, ``absorb``,
     what the nonce CNOTs XOR into nonce v's hash field, and ``marks``, whether
     the oracle fires on field forward[x].  Hash and oracle then flip nonce v
     iff marks[absorb[v] ^ prefix] and the unhash clears the field, provided the
@@ -281,7 +280,7 @@ def _cached_search_tables(layout: RegisterLayout, hash_params: HashParams,
     reads only that field and writes only the functional qubit."""
     cnots = _shared_gates(layout.nonce, layout.hash, hash_params, ())[1]
     _, forward = _cached_round_tables(layout, hash_params)
-    oracle = _cached_oracle(layout, zeros).gates
+    oracle = build_oracle(layout, zeros).gates
     low, functional = layout.hash[0], 1 << layout.functional
     nonce_mask, field = (1 << len(layout.nonce)) - 1, (len(forward) - 1) << low
     nonces, values = np.arange(nonce_mask + 1), np.arange(len(forward)) << low

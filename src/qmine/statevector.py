@@ -78,8 +78,8 @@ class StateVector:
 
     Owned by one logical thread at a time; gate application mutates in
     place.  All gates applied to this state are tallied in
-    ``gate_counts`` (by gate kind), which feeds the mining resource
-    reports.
+    ``gate_counts`` (by gate kind), the reference the closed-form
+    gate counts are tested against.
     """
 
     def __init__(self, num_qubits: int, *, cap: int = DEFAULT_QUBIT_CAP):

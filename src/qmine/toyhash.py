@@ -243,6 +243,18 @@ def build_hash_circuit(layout: "RegisterLayout", header_blocks: Sequence[int],
     return circuit
 
 
+def hash_gate_count(nonce_bits: int, header_blocks: Sequence[int],
+                    params: HashParams) -> int:
+    """``len(build_hash_circuit(...))`` from the builder's structure: a round
+    is m chi MCX, m CNOTs, m - 1 rotation SWAPs (one m-cycle) and an X per
+    set bit of its constant; the rounds follow each header block's X per set
+    bit and the nonce's n CNOTs."""
+    m = params.digest_bits
+    rounds = sum(3 * m - 1 + round_constant(j, m).bit_count() for j in range(params.rounds))
+    xs = sum(check_block(b, params).bit_count() for b in header_blocks)
+    return xs + nonce_bits + (len(header_blocks) + 1) * rounds
+
+
 def build_hash_circuit_outofplace(layout: "RegisterLayout",
                                   header_blocks: Sequence[int],
                                   params: HashParams) -> Circuit:

@@ -15,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 from qmine import (Block, BlockHeader, HashParams, SearchProblem,
                    enumerate_solutions, estimate_resources, hash_classical,
                    load_chain)
-from qmine import cli
+from qmine import RegisterLayout, cli
+import qmine.miner
 from qmine.chain import Chain, save_chain
 from qmine.cli import EXIT_EXHAUSTED, EXIT_INVALID_CHAIN, EXIT_OK, EXIT_USAGE, main
 from helpers import simulated_gates_per_iteration
@@ -398,6 +399,22 @@ class TestMalformedInput:
     def test_estimate_out_of_float_range(self, capsys, flags, text):
         self.assert_usage_error(capsys, ["estimate", *flags], text)
 
+    @pytest.mark.parametrize("flags, text", [
+        (["--measure-n", "0"], "nonce and hash registers must be non-empty"),
+        (["--measure-n", "9", "--m", "8"], "nonce register must be narrower than the digest"),
+        (["--measure-n", "9", "--m", "8", "--zeros", "99"],
+         "nonce register (9 qubits) must embed into one 8-bit block"),
+        (["--zeros", "99"], "zeros must be in 0..8, got 99"),
+        (["--zeros", "-1"], "zeros must be in 0..8, got -1"),
+        (["--m", "17"], "digest_bits must be in 4..16, got 17"),
+        (["--rounds", "9"], "rounds must be in 1..8, got 9"),
+    ], ids=["n-0", "n-equals-m", "n-above-m", "zeros-99", "zeros-negative", "m-17",
+            "rounds-9"])
+    def test_measured_estimate_out_of_range(self, capsys, flags, text):
+        # checked in the order a search build checks them, with its messages
+        assert main(["estimate", "--measured", *flags]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"error: {text}\n")
+
 
 # integral floats in range are the mistype most likely to slip through
 JSON_VALUES = st.recursive(
@@ -501,6 +518,29 @@ class TestSweepCommand:
         assert int(np.argmax(simulated)) == 12
         assert simulated[25] < simulated[12]
 
+    def test_carries_the_recurrence_across_k(self, monkeypatch, capsys):
+        # every row equals distribution(k) at its k, and the sweep takes one
+        # step of the class integers' recurrence per row, not k per row
+        payload, ts, solutions = find_cli_header(4, 8, 2, 4, 1)
+        problem = SearchProblem.build([0, payload, ts, 4], RegisterLayout.standard(4, 8),
+                                      HashParams(8, 2), 4)
+        k_max = 40
+        expected = [cli._fmt(float(problem.distribution(k)[solutions].sum()))
+                    for k in range(k_max + 1)]
+        walked = []
+
+        def steps():
+            for k in itertools.count():
+                walked.append(k)
+                yield k
+
+        monkeypatch.setattr(qmine.miner, "count", steps)
+        assert main(["sweep", *SWEEP_BASE, "--payload", format(payload, "x"),
+                     "--timestamp", str(ts), "--k-max", str(k_max)]) == EXIT_OK
+        rows = list(csv.reader(capsys.readouterr().out.splitlines()))[1:]
+        assert [row[1] for row in rows] == expected
+        assert walked == list(range(k_max + 1))
+
     def test_deterministic_output(self, capsys):
         payload, ts, _ = find_cli_header(4, 8, 2, 4, 1)
         args = ["sweep", *SWEEP_BASE, "--payload", format(payload, "x"),
@@ -579,8 +619,26 @@ class TestEstimateCommand:
         assert f"gates_per_iteration={gpi} (measured" in out
         assert gpi > 100
 
+    @pytest.mark.parametrize("flags, gates", [
+        (["--measure-n", "4", "--m", "8", "--rounds", "2", "--zeros", "5"], 578),
+        (["--measure-n", "16", "--m", "16", "--rounds", "8", "--zeros", "16",
+          "--true-chi"], 4550),
+    ])
+    def test_measured_mode_builds_nothing(self, monkeypatch, capsys, flags, gates):
+        # the count comes from the builders' structure: no table, circuit or
+        # search problem is built
+        def refuse(*args, **kwargs):
+            raise AssertionError("built to count")
+
+        for name in ("_register_table", "_cached_round_tables", "_cached_search_tables",
+                     "build_hash_circuit", "build_oracle", "build_diffusion"):
+            monkeypatch.setattr(qmine.miner, name, refuse)
+        monkeypatch.setattr(SearchProblem, "build", refuse)
+        assert main(["estimate", "--measured", *flags]) == EXIT_OK
+        assert f"gates_per_iteration={gates} (measured" in capsys.readouterr().out
+
     def test_measured_mode_beyond_the_qubit_cap(self, capsys):
-        # 16 + 16 + 1 = 33 qubits: counted from the circuits, never simulated
+        # 16 + 16 + 1 = 33 qubits: counted from the builders, never simulated
         code = main(["estimate", "--measured", "--measure-n", "16", "--m", "16",
                      "--zeros", "9"])
         assert code == EXIT_OK

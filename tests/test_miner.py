@@ -15,7 +15,8 @@ from qmine import (Gate, HashParams, MiningParams, RegisterLayout, SearchProblem
 import qmine.circuit
 import qmine.miner
 import qmine.toyhash
-from qmine.miner import UNKNOWN_COUNT_GROWTH, header_prefix
+from qmine.miner import UNKNOWN_COUNT_GROWTH, gates_per_iteration, header_prefix
+from qmine.toyhash import hash_gate_count
 from helpers import (assert_matches_reference, find_header_with_count,
                      max_global_phase_deviation, reference_compile,
                      reference_enumerate_solutions, reference_hash_circuit,
@@ -723,7 +724,6 @@ class TestNonceAxisEngine:
 
             monkeypatch.setattr(qmine.miner, "_shared_gates", gates)
             monkeypatch.setattr(qmine.miner, "build_oracle", oracle)
-            qmine.miner._cached_oracle.cache_clear()
             qmine.miner._cached_search_tables.cache_clear()
             with pytest.raises(ValueError, match="hash and service registers"):
                 SearchProblem.build([0x51, 0x3B, 0x00, 0x07], layout, HP82, 3)
@@ -733,8 +733,8 @@ class TestNonceAxisEngine:
 def cold_caches():
     """Empty the per-parameter caches before and after a test that corrupts
     the gates they are built from."""
-    caches = (qmine.toyhash._shared_gates, qmine.miner._cached_oracle,
-              qmine.miner._cached_round_tables, qmine.miner._cached_search_tables)
+    caches = (qmine.toyhash._shared_gates, qmine.miner._cached_round_tables,
+              qmine.miner._cached_search_tables)
     for cache in caches:
         cache.cache_clear()
     yield
@@ -809,18 +809,21 @@ class TestFusedCompile:
                 qmine.miner._register_table(inside + [outside], layout.hash)
 
     @pytest.mark.parametrize("m", range(4, 17))
-    @pytest.mark.parametrize("rounds", [1, 2, 8])
+    @pytest.mark.parametrize("rounds", range(1, 9))
     @pytest.mark.parametrize("true_chi", [False, True])
     def test_gates_per_iteration_counts_the_lazy_circuits(self, m, rounds, true_chi):
-        # the count from the cached gates equals the lengths of the circuits
-        # built on first use, for random headers of 0-4 blocks
+        # the closed-form count equals the lengths of the circuits built on
+        # first use, for random headers of 0-4 blocks
         params = HashParams(m, rounds, true_chi)
         rng = np.random.default_rng([m, rounds, true_chi])
         for size in range(5):
             n = int(rng.integers(1, m + 1))
             header = [int(b) for b in rng.integers(0, params.mask + 1, size=size)]
-            problem = SearchProblem.build(header, RegisterLayout.standard(n, m), params,
+            layout = RegisterLayout.standard(n, m)
+            problem = SearchProblem.build(header, layout, params,
                                           int(rng.integers(0, m + 1)))
+            assert hash_gate_count(n, header, params) == len(problem.hash_circuit)
+            assert gates_per_iteration(layout, header, params) == problem.gates_per_iteration
             assert problem.gates_per_iteration == sum(
                 len(c) for c in (problem.hash_circuit, problem.oracle,
                                  problem.hash_inverse, problem.diffusion))
