@@ -17,7 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from .miner import MiningParams, MiningResult, header_prefix
-from .toyhash import Digest, HashParams, check_block, hash_classical, hash_many
+from .toyhash import (Digest, HashParams, check_block, has_leading_zeros,
+                      hash_classical, hash_many)
 
 CHAIN_FORMAT_VERSION = "qmine-chain/1"
 SCAN_CHUNK = 256  # nonces mine_classical hashes per hash_many call
@@ -96,7 +97,8 @@ def mine_classical(header_blocks: Sequence[int], params: MiningParams,
     fits = min(space, hp.mask + 1)
     for start in range(0, fits, SCAN_CHUNK):
         digests = hash_many(prefix, np.arange(start, min(start + SCAN_CHUNK, fits)), hp)
-        solved = np.flatnonzero(digests >> (hp.digest_bits - params.difficulty_zeros) == 0)
+        solved = np.flatnonzero(has_leading_zeros(digests, hp.digest_bits,
+                                                  params.difficulty_zeros))
         if solved.size:
             value = start + int(solved[0])
             return MiningResult(
@@ -120,8 +122,7 @@ def compute_required_zeros(nonce_bits: int, digest_bits: int) -> int:
     exponent x = m-n-1, hence z = m-x = n+1."""
     if nonce_bits >= digest_bits:
         raise ValueError("nonce register must be narrower than the digest")
-    solution_exponent = digest_bits - nonce_bits - 1
-    return digest_bits - solution_exponent
+    return nonce_bits + 1
 
 
 # -- validation ------------------------------------------------------------------

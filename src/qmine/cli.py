@@ -25,7 +25,7 @@ from .miner import (MiningParams, MiningResult, RegisterLayout, SearchProblem,
                     analytic_success_probability, enumerate_solutions,
                     estimate_resources, gates_per_iteration, iteration_count,
                     mine_quantum)
-from .toyhash import HashParams, has_leading_zeros
+from .toyhash import HashParams
 
 EXIT_OK = 0
 EXIT_INVALID_CHAIN = 1
@@ -130,19 +130,11 @@ ESTIMATE_OPTIONS = (
 )
 
 
-def _desk(name: str, help_text: str | None) -> tuple:
-    """A mine/sweep option that sizes the search of ``estimate --measured``."""
-    _, default, convert, flag = next(o for o in RUN_OPTIONS if o[0] == name)
-    return _opt(name, default, convert, **{**flag, "help": help_text})
-
-
 DESK_OPTIONS = (  # resolved only with --measured
     _opt("measure_n", 4, json_int, type=int,
          help="desk-scale nonce bits for --measured (default 4)"),
-    _desk("m", "desk-scale digest bits for --measured"),
-    _desk("rounds", "desk-scale rounds for --measured"),
-    _desk("zeros", "desk-scale difficulty for --measured"),
-    _desk("true_chi", None),
+    _opt("m", 8, json_int, type=int, help="desk-scale digest bits for --measured"),
+    _opt("rounds", 2, json_int, type=int, help="desk-scale rounds for --measured"),
 )
 
 
@@ -165,19 +157,14 @@ def _resolve(args: argparse.Namespace, options: Sequence[tuple], config: dict) -
             raise ValueError(f"invalid value for {name}: {value!r}") from None
 
 
-def _required_zeros(zeros, nonce_bits: int, digest_bits: int) -> int:
-    """``zeros``, or n+1 (expected half a solution) when it is "auto"."""
-    return compute_required_zeros(nonce_bits, digest_bits) if zeros == "auto" else zeros
-
-
 def _hash_params(cfg: argparse.Namespace) -> HashParams:
     return HashParams(cfg.m, cfg.rounds, cfg.true_chi)
 
 
 def _resolve_run_config(args: argparse.Namespace) -> argparse.Namespace:
     _resolve(args, RUN_OPTIONS + MINE_OPTIONS, _read_config(args))
-    args.zeros = _required_zeros("auto" if args.auto_zeros else args.zeros,
-                                 args.n, args.m)
+    if args.auto_zeros or args.zeros == "auto":
+        args.zeros = compute_required_zeros(args.n, args.m)
     if args.n < 1:
         raise ValueError("n must be >= 1")
     if args.n > args.m:
@@ -334,13 +321,10 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     source = "assumed"
     if args.measured:
         _resolve(args, DESK_OPTIONS, config)
-        hp = _hash_params(args)
-        zeros = _required_zeros(args.zeros, args.measure_n, hp.digest_bits)
+        hp = HashParams(args.m, args.rounds)
         layout = RegisterLayout.standard(args.measure_n, hp.digest_bits)
         args.gates_per_iteration = gates_per_iteration(layout, [0, 0, 0, 0], hp)
-        has_leading_zeros(0, hp.digest_bits, zeros)  # zeros out of range raises
-        source = (f"measured at n={args.measure_n} m={hp.digest_bits} "
-                  f"rounds={hp.rounds} zeros={zeros}")
+        source = f"measured at n={args.measure_n} m={hp.digest_bits} rounds={hp.rounds}"
 
     est = estimate_resources(args.n, args.hash_rate, args.gate_time,
                              args.gates_per_iteration)

@@ -26,8 +26,9 @@ from .circuit import Circuit, Gate, apply_circuit, invert
 # new_zero_state stays bound here for tracers that wrap miner.new_zero_state
 from .statevector import StateVector, new_zero_state, permute_labels
 from .toyhash import (Digest, HashParams, _check_layout, _shared_gates,
-                      build_hash_circuit, check_block, has_leading_zeros,
-                      hash_classical, hash_gate_count, hash_many)
+                      build_hash_circuit, check_block, check_zeros,
+                      has_leading_zeros, hash_classical, hash_gate_count,
+                      hash_many)
 
 UNKNOWN_COUNT_GROWTH = 6 / 5  # per-round budget ratio when the solution count is unknown
 MAX_ESTIMATE_BITS = 1023  # the estimator's counts must convert to finite floats
@@ -121,8 +122,7 @@ def build_oracle(layout: RegisterLayout, zeros: int) -> Circuit:
     hash qubits).  zeros=0 degenerates to an unconditional flip, i.e. a
     global phase."""
     m = len(layout.hash)
-    if not 0 <= zeros <= m:
-        raise ValueError(f"zeros must be in 0..{m}, got {zeros}")
+    check_zeros(zeros, m)
     circuit = Circuit(layout.total_qubits, label=f"oracle-z{zeros}")
     if zeros == 0:
         circuit.append(Gate.x(layout.functional))
@@ -402,9 +402,9 @@ def enumerate_solutions(header_blocks: Sequence[int], hash_params: HashParams,
     exhaustion (desk scale only): one ``hash_many`` call over all 2^n
     nonces, which names nonce 2^m if n > m."""
     prefix = header_prefix(header_blocks, hash_params)
-    has_leading_zeros(0, hash_params.digest_bits, zeros)  # zeros out of range raises
+    check_zeros(zeros, hash_params.digest_bits)  # before hash_many names a wide nonce
     digests = hash_many(prefix, np.arange(1 << nonce_bits), hash_params)
-    return np.flatnonzero(digests >> (hash_params.digest_bits - zeros) == 0).tolist()
+    return np.flatnonzero(has_leading_zeros(digests, hash_params.digest_bits, zeros)).tolist()
 
 
 # -- the miner -------------------------------------------------------------------

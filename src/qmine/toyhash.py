@@ -93,11 +93,18 @@ class Digest:
         return has_leading_zeros(self.value, self.width, zeros)
 
 
-def has_leading_zeros(value: int, width: int, zeros: int) -> bool:
-    """True iff the top ``zeros`` bits of a width-bit value are all 0."""
+def has_leading_zeros(value, width: int, zeros: int):
+    """True iff the top ``zeros`` bits of a width-bit value are all 0, on an
+    int or elementwise on an int64 array of width-bit values."""
+    return value >> (width - check_zeros(zeros, width)) == 0
+
+
+def check_zeros(zeros: int, width: int) -> int:
+    """``zeros`` itself if it is a difficulty for a width-bit digest, else
+    ValueError."""
     if not 0 <= zeros <= width:
         raise ValueError(f"zeros must be in 0..{width}, got {zeros}")
-    return value >> (width - zeros) == 0 if zeros else True
+    return zeros
 
 
 def round_constant(round_index: int, digest_bits: int) -> int:

@@ -232,8 +232,6 @@ OPTION_VALUES = {"n": 3, "m": 9, "rounds": 1, "zeros": 2, "true_chi": True, "see
                  "hash_rate": 1e6, "gate_time": 2e-9, "gates_per_iteration": 5,
                  "measured": True, "measure_n": 3}
 RUN_CONFIG = {"n": 4, "m": 8, "rounds": 2, "zeros": 1, "payload": "00", "timestamp": 3}
-# chi's operand inversion costs no gates
-UNSEEN_IN_STDOUT = {("estimate", "true_chi")}
 
 
 def config_keys(*tables):
@@ -276,8 +274,7 @@ class TestOptionSources:
         neither = self.observe(tmp_path / "neither", monkeypatch, capsys,
                                [command], base)
         assert by_flag == by_key
-        if (command, key) not in UNSEEN_IN_STDOUT:
-            assert by_key != neither  # the value took effect
+        assert by_key != neither  # the value took effect
 
 
 class TestOneParser:
@@ -401,19 +398,34 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("flags, text", [
         (["--measure-n", "0"], "nonce and hash registers must be non-empty"),
-        (["--measure-n", "9", "--m", "8"], "nonce register must be narrower than the digest"),
-        (["--measure-n", "9", "--m", "8", "--zeros", "99"],
+        (["--measure-n", "9", "--m", "8"],
          "nonce register (9 qubits) must embed into one 8-bit block"),
-        (["--zeros", "99"], "zeros must be in 0..8, got 99"),
-        (["--zeros", "-1"], "zeros must be in 0..8, got -1"),
+        (["--measure-n", "16", "--m", "4"],
+         "nonce register (16 qubits) must embed into one 4-bit block"),
         (["--m", "17"], "digest_bits must be in 4..16, got 17"),
         (["--rounds", "9"], "rounds must be in 1..8, got 9"),
-    ], ids=["n-0", "n-equals-m", "n-above-m", "zeros-99", "zeros-negative", "m-17",
-            "rounds-9"])
+    ], ids=["n-0", "n-equals-m", "n-above-m", "m-17", "rounds-9"])
     def test_measured_estimate_out_of_range(self, capsys, flags, text):
         # checked in the order a search build checks them, with its messages
         assert main(["estimate", "--measured", *flags]) == EXIT_USAGE
         assert capsys.readouterr() == ("", f"error: {text}\n")
+
+    @pytest.mark.parametrize("flags", [["--zeros", "5"], ["--true-chi"]])
+    def test_estimate_takes_no_difficulty_flag(self, capsys, flags):
+        # the count reads n, m and rounds only
+        with pytest.raises(SystemExit) as exit_info:
+            main(["estimate", "--measured", *flags])
+        assert exit_info.value.code == EXIT_USAGE
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+
+    def test_estimate_reads_no_difficulty_key(self, tmp_path, capsys):
+        # a config file shared with mine may carry them; estimate never reads them
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"m": 8, "zeros": 99, "true_chi": "no"}))
+        assert main(["estimate", "--measured", "--config", str(config)]) == EXIT_OK
+        by_config = capsys.readouterr()
+        assert main(["estimate", "--measured", "--m", "8"]) == EXIT_OK
+        assert capsys.readouterr() == by_config
 
 
 # integral floats in range are the mistype most likely to slip through
@@ -611,22 +623,23 @@ class TestEstimateCommand:
 
     def test_measured_mode(self, capsys):
         code = main(["estimate", "--measured", "--measure-n", "4", "--m", "8",
-                     "--rounds", "2", "--zeros", "5"])
+                     "--rounds", "2"])
         assert code == EXIT_OK
         out = capsys.readouterr().out
-        assert "measured at n=4" in out
+        assert "(measured at n=4 m=8 rounds=2)" in out
         gpi = simulated_gates_per_iteration(4, HashParams(8, 2), 5)
         assert f"gates_per_iteration={gpi} (measured" in out
         assert gpi > 100
 
     @pytest.mark.parametrize("flags, gates", [
-        (["--measure-n", "4", "--m", "8", "--rounds", "2", "--zeros", "5"], 578),
-        (["--measure-n", "16", "--m", "16", "--rounds", "8", "--zeros", "16",
-          "--true-chi"], 4550),
+        (["--measure-n", "4", "--m", "8", "--rounds", "2"], 578),
+        (["--measure-n", "16", "--m", "16", "--rounds", "8"], 4550),
+        (["--measure-n", "8", "--m", "8"], 602),
     ])
     def test_measured_mode_builds_nothing(self, monkeypatch, capsys, flags, gates):
         # the count comes from the builders' structure: no table, circuit or
-        # search problem is built
+        # search problem is built, and no difficulty is derived, so a nonce
+        # as wide as the digest counts too
         def refuse(*args, **kwargs):
             raise AssertionError("built to count")
 
@@ -639,8 +652,7 @@ class TestEstimateCommand:
 
     def test_measured_mode_beyond_the_qubit_cap(self, capsys):
         # 16 + 16 + 1 = 33 qubits: counted from the builders, never simulated
-        code = main(["estimate", "--measured", "--measure-n", "16", "--m", "16",
-                     "--zeros", "9"])
+        code = main(["estimate", "--measured", "--measure-n", "16", "--m", "16"])
         assert code == EXIT_OK
         assert "gates_per_iteration=" in capsys.readouterr().out
 

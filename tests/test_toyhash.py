@@ -7,11 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from qmine import (Circuit, Gate, HashParams, RegisterLayout, apply_circuit,
                    assignment_for, build_hash_circuit,
-                   build_hash_circuit_outofplace, format_circuit, hash_classical,
-                   invert, new_zero_state)
+                   build_hash_circuit_outofplace, build_oracle, format_circuit,
+                   has_leading_zeros, hash_classical, invert, new_zero_state)
 from qmine.miner import _cached_round_tables, _register_table
-from qmine.toyhash import (_emit_absorbs, check_block, hash_many, permute,
-                           round_constant)
+from qmine.toyhash import (_emit_absorbs, check_block, check_zeros, hash_many,
+                           permute, round_constant)
 from helpers import (hash_oracle, permute_oracle, reference_hash_circuit,
                      set_register, sponge_table)
 
@@ -157,6 +157,38 @@ class TestHashMany:
             check_block(lowest, params)
         with pytest.raises(ValueError, match=f"^{expected.value}$"):
             hash_many(prefix, np.array(values), params)
+
+
+class TestDifficultyRule:
+    """One leading-zeros test serves a digest and an array of digests."""
+
+    @pytest.mark.parametrize("width", range(4, 17))
+    def test_array_form_equals_scalar_form(self, width):
+        mask = (1 << width) - 1
+        if width <= 10:
+            values = np.arange(mask + 1)
+        else:
+            drawn = np.random.default_rng(width).integers(0, mask + 1, size=500)
+            values = np.concatenate([[0, mask], drawn])
+        for zeros in range(width + 1):
+            flags = has_leading_zeros(values, width, zeros)
+            assert flags.dtype == bool and flags.shape == values.shape
+            assert flags.tolist() == [has_leading_zeros(int(v), width, zeros)
+                                      for v in values]
+            assert flags.tolist() == [format(int(v), f"0{width}b")[:zeros] == "0" * zeros
+                                      for v in values]
+
+    @pytest.mark.parametrize("width", range(4, 17))
+    def test_out_of_range_zeros_named_alike(self, width):
+        layout = RegisterLayout.standard(2, width)
+        for zeros in (-1, width + 1):
+            message = f"^zeros must be in 0..{width}, got {zeros}$"
+            with pytest.raises(ValueError, match=message):
+                check_zeros(zeros, width)
+            with pytest.raises(ValueError, match=message):
+                has_leading_zeros(np.arange(4), width, zeros)
+            with pytest.raises(ValueError, match=message):
+                build_oracle(layout, zeros)
 
 
 def run_circuit_digest(layout, circuit, nonce_value):
