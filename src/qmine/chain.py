@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .miner import MiningParams, MiningResult, header_prefix
-from .toyhash import (Digest, HashParams, check_block, has_leading_zeros,
+from .toyhash import (Digest, HashParams, absorb, check_block, has_leading_zeros,
                       hash_classical, hash_many)
 
 CHAIN_FORMAT_VERSION = "qmine-chain/1"
@@ -129,35 +129,53 @@ def compute_required_zeros(nonce_bits: int, digest_bits: int) -> int:
 
 
 def validate_block(block: Block, params: HashParams) -> ValidationReport:
-    """Digest and difficulty; a header field that ``serialize_header``
-    rejects, or a nonce that does not fit one sponge block, is reported as
-    out of range and the header is not hashed."""
-    report, header = ValidationReport(), block.header
-    try:
-        serialize_header(header, params)
-    except ValueError:
-        report.reasons.append(REASON_HEADER_RANGE)
-    if not 0 <= header.nonce <= params.mask:
-        report.reasons.append(REASON_NONCE_RANGE)
-    elif not report.reasons and header_digest(header, params) != block.digest:
-        report.reasons.append(REASON_DIGEST_MISMATCH)
-    if (0 <= header.difficulty_zeros <= params.digest_bits  # else header-range
-            and not block.digest.meets_difficulty(header.difficulty_zeros)):
-        report.reasons.append(REASON_DIFFICULTY)
-    return report
+    """``validate_chain``'s checks of one block, without the link."""
+    return ValidationReport(_block_reasons([block], params)[0])
 
 
 def validate_chain(blocks: Sequence[Block], params: HashParams) -> ValidationReport:
+    """Each block's digest and difficulty, then its link to the block before."""
     report = ValidationReport()
-    for i, block in enumerate(blocks):
-        block_report = validate_block(block, params)
-        report.reasons.extend(f"block {i}: {r}" for r in block_report.reasons)
+    for i, (block, reasons) in enumerate(zip(blocks, _block_reasons(blocks, params))):
+        report.reasons.extend(f"block {i}: {r}" for r in reasons)
         if i == 0:
             if block.header.prev_digest != 0:
                 report.reasons.append(f"block 0: {REASON_GENESIS_PREV}")
         elif block.header.prev_digest != blocks[i - 1].digest.value:
             report.reasons.append(f"block {i}: {REASON_PREV_LINK}")
     return report
+
+
+def _block_reasons(blocks: Sequence[Block], params: HashParams) -> list[list[str]]:
+    """Each block's digest and difficulty reasons.  A header field that
+    ``serialize_header`` rejects, or a nonce that does not fit one sponge
+    block, is reported as out of range and the header is not hashed; the
+    headers that pass are hashed together, one ``absorb`` over their five
+    columns."""
+    reasons, rows, hashed = [], [], []
+    for i, block in enumerate(blocks):
+        header, found = block.header, []
+        try:
+            row = serialize_header(header, params) + [header.nonce]
+        except ValueError:
+            found.append(REASON_HEADER_RANGE)
+        if not 0 <= header.nonce <= params.mask:
+            found.append(REASON_NONCE_RANGE)
+        elif not found:
+            rows.append(row)
+            hashed.append(i)
+        reasons.append(found)
+    if rows:
+        digests = absorb(np.array(rows, dtype=np.int64).T, params)
+        for i, value in zip(hashed, digests.tolist()):
+            if Digest(value, params.digest_bits) != blocks[i].digest:
+                reasons[i].append(REASON_DIGEST_MISMATCH)
+    for block, found in zip(blocks, reasons):
+        zeros = block.header.difficulty_zeros
+        if (0 <= zeros <= params.digest_bits  # else header-range
+                and not block.digest.meets_difficulty(zeros)):
+            found.append(REASON_DIFFICULTY)
+    return reasons
 
 
 # -- persistence -------------------------------------------------------------------

@@ -138,8 +138,23 @@ DESK_OPTIONS = (  # resolved only with --measured
 )
 
 
+# every key a config file may hold: one file can serve mine, sweep and estimate
+CONFIG_KEYS = frozenset(name for name, _, convert, _ in (
+    RUN_OPTIONS + MINE_OPTIONS + SWEEP_OPTIONS + ESTIMATE_OPTIONS + DESK_OPTIONS)
+    if convert)
+
+
 def _read_config(args: argparse.Namespace) -> dict:
-    return read_json_object(args.config, "config file") if args.config else {}
+    """The config file's keys and values; a key that no command declares is
+    an error, so a misspelt key is not silently ignored."""
+    if not args.config:
+        return {}
+    config = read_json_object(args.config, "config file")
+    unknown = sorted(config.keys() - CONFIG_KEYS)
+    if unknown:
+        raise ValueError(f"unknown config key(s) in {args.config}: "
+                         + ", ".join(map(repr, unknown)))
+    return config
 
 
 def _resolve(args: argparse.Namespace, options: Sequence[tuple], config: dict) -> None:

@@ -4,8 +4,9 @@ Single-rate sponge (block width = digest width) over an m-bit state,
 4 <= m <= 16, built solely from XOR / AND / rotate / constants so it has
 a direct reversible-circuit realization.  Two implementations are
 provided and must agree bit-for-bit: the classical reference
-(``hash_classical``; ``hash_many`` runs its rounds on a nonce array) and
-the circuit builders that hash every nonce value in superposition.
+(``hash_classical``; ``absorb`` runs the same sponge on int64 arrays, for
+``hash_many``'s nonces and a chain's header columns) and the circuit
+builders that hash every nonce value in superposition.
 
 Round structure (sequential in-place semantics, index ascending — the
 circuit is a gate-for-gate transcription, so the classical code must
@@ -148,6 +149,15 @@ def hash_classical(message_blocks: Sequence[int], params: HashParams) -> Digest:
     return Digest(state, params.digest_bits)
 
 
+def absorb(blocks, params: HashParams, state=0):
+    """The sponge loop unchecked, ``state = _rounds(state ^ block)`` for each
+    block in turn: on ints, or elementwise on int64 arrays, one ``_rounds``
+    call per block whatever the arrays' length."""
+    for block in blocks:
+        state = _rounds(state ^ block, params)
+    return state
+
+
 def hash_many(prefix: int, values: np.ndarray, params: HashParams) -> np.ndarray:
     """``hash_classical([prefix ^ v]).value`` for each v of ``values`` as an
     int64 array, through the rounds run on all v at once; an out-of-range
@@ -157,7 +167,7 @@ def hash_many(prefix: int, values: np.ndarray, params: HashParams) -> np.ndarray
     outside = values[(values < 0) | (values > params.mask)]
     if outside.size:
         check_block(int(outside.min()), params)
-    return _rounds(values ^ prefix, params)
+    return absorb([values], params, prefix)
 
 
 def check_block(block: int, params: HashParams) -> int:

@@ -14,6 +14,10 @@ from qmine import (Circuit, Digest, Gate, MiningParams, MiningResult,
                    build_hash_circuit, build_oracle, emit_rotate_left, enumerate_solutions,
                    grover_iteration, hash_classical, invert, iteration_count,
                    new_zero_state, prepare, round_constant)
+from qmine.chain import (REASON_DIFFICULTY, REASON_DIGEST_MISMATCH,
+                         REASON_GENESIS_PREV, REASON_HEADER_RANGE,
+                         REASON_NONCE_RANGE, REASON_PREV_LINK, Block, Chain,
+                         serialize_header)
 from qmine.miner import UNKNOWN_COUNT_GROWTH
 from qmine.statevector import permute_labels
 from qmine.toyhash import GOLDEN_RATIO_32, HashParams
@@ -126,6 +130,46 @@ def reference_mine_classical(header_blocks, params: MiningParams,
     last = (1 << nonce_bits) - 1
     return MiningResult(last, format(last, f"0{nonce_bits}b"), digest,
                         False, 0, 0.0, 0, 1 << nonce_bits)
+
+
+def reference_validate_block(block: Block, params: HashParams) -> list[str]:
+    """``validate_block``'s reasons, hashing the header alone through
+    ``hash_classical`` if no field or the nonce is out of range."""
+    reasons, header = [], block.header
+    try:
+        blocks = serialize_header(header, params)
+    except ValueError:
+        reasons.append(REASON_HEADER_RANGE)
+    if not 0 <= header.nonce <= params.mask:
+        reasons.append(REASON_NONCE_RANGE)
+    elif not reasons and hash_classical(blocks + [header.nonce], params) != block.digest:
+        reasons.append(REASON_DIGEST_MISMATCH)
+    if (0 <= header.difficulty_zeros <= params.digest_bits
+            and not block.digest.meets_difficulty(header.difficulty_zeros)):
+        reasons.append(REASON_DIFFICULTY)
+    return reasons
+
+
+def reference_validate_chain(blocks, params: HashParams) -> list[str]:
+    """``validate_chain``'s reasons, one block at a time, each block's own
+    reasons before its link."""
+    reasons = []
+    for i, block in enumerate(blocks):
+        reasons += [f"block {i}: {r}" for r in reference_validate_block(block, params)]
+        if i == 0:
+            if block.header.prev_digest != 0:
+                reasons.append(f"block 0: {REASON_GENESIS_PREV}")
+        elif block.header.prev_digest != blocks[i - 1].digest.value:
+            reasons.append(f"block {i}: {REASON_PREV_LINK}")
+    return reasons
+
+
+def reference_chain_validate(chain: Chain) -> list[str]:
+    """``Chain.validate``'s reasons: the chain's, then every nonce that fits a
+    block but not ``nonce_bits``."""
+    return (reference_validate_chain(chain.blocks, chain.hash_params)
+            + [f"block {i}: {REASON_NONCE_RANGE}" for i, b in enumerate(chain.blocks)
+               if 1 << chain.nonce_bits <= b.header.nonce <= chain.hash_params.mask])
 
 
 def reference_permute_labels(labels, gates) -> list[int]:

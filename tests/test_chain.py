@@ -11,9 +11,12 @@ from qmine import (Block, BlockHeader, Chain, HashParams, MiningParams,
                    hash_classical, load_chain, mine_classical, mine_quantum,
                    save_chain, serialize_header, validate_block, validate_chain)
 import qmine.chain
+import qmine.toyhash
 from qmine.chain import SCAN_CHUNK, header_digest
 from qmine.toyhash import Digest
-from helpers import find_header_with_count, reference_mine_classical
+from helpers import (find_header_with_count, reference_chain_validate,
+                     reference_mine_classical, reference_validate_block,
+                     reference_validate_chain)
 
 HP = HashParams(8, 2)
 
@@ -193,7 +196,7 @@ class TestValidation:
                                                             monkeypatch):
         block = mined_block(0, 0x42, 7, 1)
         wide = Block(dataclasses.replace(block.header, **{field: value}), block.digest)
-        monkeypatch.setattr(qmine.chain, "hash_classical", None)  # never hashed
+        monkeypatch.setattr(qmine.toyhash, "_rounds", None)  # never hashed
         assert validate_block(wide, HP).reasons == ["header-range"]
         wide = Block(dataclasses.replace(wide.header, nonce=0x100), block.digest)
         assert validate_block(wide, HP).reasons == ["header-range", "nonce-range"]
@@ -214,6 +217,129 @@ class TestValidation:
         stray = mined_block(0x05, 0x42, 7, 1)
         report = validate_chain([stray], HP)
         assert not report.ok and any("genesis-prev" in r for r in report.reasons)
+
+
+def grown_chain(hp, nonce_bits, length, seed):
+    """A seeded chain of ``length`` linked blocks at random difficulties of at
+    most 2 zeros, each mined by trying nonces 0, 1, ... up to 16; a block
+    whose tries all fail keeps the last and violates its difficulty."""
+    rng = np.random.default_rng(seed)
+    chain = Chain(hash_params=hp, nonce_bits=nonce_bits)
+    for _ in range(length):
+        header = BlockHeader(chain.tip_digest(), int(rng.integers(hp.mask + 1)),
+                             int(rng.integers(1 << 20)), int(rng.integers(3)), 0)
+        prefix = hash_classical(serialize_header(header, hp), hp).value
+        for nonce in range(min(1 << nonce_bits, 16)):
+            digest = hash_classical([prefix ^ nonce], hp)
+            if digest.meets_difficulty(header.difficulty_zeros):
+                break
+        chain.append(Block(dataclasses.replace(header, nonce=nonce), digest))
+    return chain
+
+
+CORRUPTIONS = ("digest-bit", "digest-width", "link", "genesis-prev", "header-field",
+               "nonce-above-mask", "nonce-bits", "difficulty")
+
+
+@st.composite
+def corrupted_chains(draw):
+    """A grown chain at m 4..16, r 1..8, either chi, with up to eight random
+    corruptions of up to three of its blocks, so hashable and unhashable
+    blocks mix and one block may carry several faults; with the indices of
+    the blocks it may have corrupted."""
+    hp = HashParams(draw(st.integers(4, 16)), draw(st.integers(1, 8)), draw(st.booleans()))
+    m, mask = hp.digest_bits, hp.mask
+    nonce_bits = draw(st.integers(1, m))
+    chain = grown_chain(hp, nonce_bits, draw(st.integers(0, 130)),
+                        draw(st.integers(0, 2 ** 32 - 1)))
+    blocks = chain.blocks
+    if not blocks:
+        return chain, []
+    targets = draw(st.lists(st.integers(0, len(blocks) - 1), min_size=1, max_size=3))
+    for kind in draw(st.lists(st.sampled_from(CORRUPTIONS), max_size=8)):
+        i = 0 if kind == "genesis-prev" else draw(st.sampled_from(targets))
+        header, digest = blocks[i].header, blocks[i].digest
+        if kind == "digest-bit":
+            digest = Digest(digest.value ^ 1 << draw(st.integers(0, m - 1)), m)
+        elif kind == "digest-width":
+            digest = Digest(digest.value, m + 1)
+        elif kind == "link":
+            header = dataclasses.replace(
+                header, prev_digest=header.prev_digest ^ 1 << draw(st.integers(0, m - 1)))
+        elif kind == "genesis-prev":
+            header = dataclasses.replace(header, prev_digest=draw(st.integers(1, mask)))
+        elif kind == "header-field":
+            field, value = draw(st.sampled_from([
+                ("prev_digest", mask + 1), ("prev_digest", -1),
+                ("payload_digest", mask + 1), ("payload_digest", -1),
+                ("difficulty_zeros", m + 1), ("difficulty_zeros", -1),
+                ("timestamp", -1)]))
+            header = dataclasses.replace(header, **{field: value})
+        elif kind == "nonce-above-mask":
+            header = dataclasses.replace(header, nonce=draw(
+                st.sampled_from([-1, mask + 1, mask + 1 + draw(st.integers(0, 1000))])))
+        elif kind == "nonce-bits":
+            header = dataclasses.replace(
+                header, nonce=draw(st.integers(1 << nonce_bits, max(1 << nonce_bits, mask))))
+        else:  # a difficulty the digest of the re-hashed header may miss
+            header = dataclasses.replace(header, difficulty_zeros=draw(st.integers(1, m)))
+            try:
+                digest = header_digest(header, hp)
+            except ValueError:  # an earlier corruption left it unhashable
+                pass
+        blocks[i] = Block(header, digest)
+    return chain, sorted({0, *targets})
+
+
+def count_rounds_calls(monkeypatch) -> list:
+    """Wrap ``toyhash._rounds``; the returned list grows by one per call."""
+    calls, rounds = [], qmine.toyhash._rounds
+
+    def counted(state, params):
+        calls.append(state)
+        return rounds(state, params)
+
+    monkeypatch.setattr(qmine.toyhash, "_rounds", counted)
+    return calls
+
+
+class TestBatchedValidation:
+    """Validation hashes every hashable header at once but reports what the
+    one-block-at-a-time reference reports, reason for reason."""
+
+    @given(corrupted=corrupted_chains())
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    def test_reasons_equal_the_per_block_reference(self, corrupted):
+        chain, corrupted_blocks = corrupted
+        hp = chain.hash_params
+        assert validate_chain(chain.blocks, hp).reasons == reference_validate_chain(
+            chain.blocks, hp)
+        assert chain.validate().reasons == reference_chain_validate(chain)
+        for i in corrupted_blocks:
+            block = chain.blocks[i]
+            assert validate_block(block, hp).reasons == reference_validate_block(block, hp)
+
+    @pytest.mark.parametrize("length", [1, 10, 300])
+    def test_five_rounds_calls_whatever_the_length(self, monkeypatch, length):
+        chain = grown_chain(HashParams(16, 2), 8, length, seed=length)
+        expected = reference_validate_chain(chain.blocks, chain.hash_params)
+        calls = count_rounds_calls(monkeypatch)
+        assert validate_chain(chain.blocks, chain.hash_params).reasons == expected
+        assert [np.shape(state) for state in calls] == [(length,)] * 5
+        chain.validate()
+        validate_block(chain.blocks[-1], chain.hash_params)
+        assert len(calls) == 15
+
+    def test_no_rounds_call_without_a_hashable_header(self, monkeypatch):
+        chain = grown_chain(HashParams(8, 2), 4, 10, seed=3)
+        unhashable = [Block(dataclasses.replace(b.header, nonce=0x100), b.digest)
+                      for b in chain.blocks]
+        expected = reference_validate_chain(unhashable, HP)
+        calls = count_rounds_calls(monkeypatch)
+        assert validate_chain(unhashable, HP).reasons == expected
+        assert validate_chain([], HP).ok
+        assert validate_block(unhashable[0], HP).reasons == ["nonce-range"]
+        assert calls == []
 
 
 class TestPersistence:

@@ -428,6 +428,32 @@ class TestMalformedInput:
         assert capsys.readouterr() == by_config
 
 
+    @pytest.mark.parametrize("command", ["mine", "sweep", "estimate"])
+    def test_unknown_config_key(self, tmp_path, monkeypatch, capsys, command):
+        # a misspelt key is named and nothing runs, not a run at the default
+        monkeypatch.chdir(tmp_path)
+        Path("typo.json").write_text(json.dumps(
+            {"mode": "classical", "zeroes": 8, "chain_file": "c.json"}))
+        assert main([command, "--config", "typo.json"]) == EXIT_USAGE
+        assert capsys.readouterr() == (
+            "", "error: unknown config key(s) in typo.json: 'zeroes'\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["typo.json"]
+
+    def test_unknown_config_keys_are_all_named(self, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"n": 4, "k_max": 3, "auto_zeros": True}))
+        self.assert_usage_error(capsys, ["sweep", "--config", str(config)],
+                                "'auto_zeros', 'k_max'")
+
+    @pytest.mark.parametrize("command", ["mine", "sweep", "estimate"])
+    def test_one_config_file_serves_every_command(self, tmp_path, capsys, command):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({**RUN_CONFIG, "zeros": 4, "timestamp": 2,
+                                      "exact": True, "seed": 1, "hash_rate": 1e6,
+                                      "measured": True, "measure_n": 3}))
+        assert main([command, "--config", str(config)]) == EXIT_OK
+
+
 # integral floats in range are the mistype most likely to slip through
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats()
