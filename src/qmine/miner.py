@@ -190,12 +190,15 @@ class SearchProblem:
     for the sponge state the header leaves.  The diffusion circuit is
     1 - 2|s><s| on the nonce register.  Both keep all marked nonces at one
     amplitude and all others at another, so ``distribution`` follows those
-    two, not b.  Each problem builds its own circuits on first use."""
+    two, not b.  ``prefix`` is the sponge state after the header, which
+    ``build`` reads off the round table; ``hash_classical([prefix ^ v])`` is
+    nonce v's digest.  Each problem builds its own circuits on first use."""
 
     layout: RegisterLayout
     header_blocks: tuple[int, ...]
     hash_params: HashParams
     zeros: int
+    prefix: int
     marked: np.ndarray
 
     @staticmethod
@@ -207,7 +210,7 @@ class SearchProblem:
         prefix = 0  # header_prefix, one table lookup per block
         for block in header_blocks:
             prefix = int(forward[prefix ^ block])
-        return SearchProblem(layout, header_blocks, hash_params, zeros,
+        return SearchProblem(layout, header_blocks, hash_params, zeros, prefix,
                              marks[absorb ^ prefix])
 
     @cached_property
@@ -440,15 +443,28 @@ def mine_quantum(header_blocks: Sequence[int], layout: RegisterLayout,
     ``SearchProblem.distribution``, which by Niven's theorem needs M / 2^n
     in {1/4, 1/2, 3/4}; every nonce is then equally likely, and exact
     readout returns nonce 0.
+
+    Verification hashes each distinct nonce read once, as the single block
+    ``hash_classical([problem.prefix ^ value])``: the header's sponge state
+    comes from the search's compile, so no header block is hashed here.
     ``problem`` is the header's ``SearchProblem``, when the caller has
-    built it already.
+    built it already; one built for another header, layout, hash_params or
+    zeros is a ValueError.
     """
     n = len(layout.nonce)
     hp = params.hash_params
     zeros = params.difficulty_zeros
     if problem is None:
         problem = SearchProblem.build(header_blocks, layout, hp, zeros)
-    prefix = header_prefix(header_blocks, hp)
+    else:
+        for name, built, wanted in (
+                ("header", problem.header_blocks, tuple(header_blocks)),
+                ("layout", problem.layout, layout),
+                ("hash_params", problem.hash_params, hp),
+                ("zeros", problem.zeros, zeros)):
+            if built != wanted:
+                raise ValueError(f"problem was built for {name} {built!r}, "
+                                 f"not {wanted!r}")
     rng = None if exact_readout else np.random.default_rng(params.rng_seed)
     digests: dict[int, Digest] = {}  # a nonce read again is not hashed again
 
@@ -456,7 +472,7 @@ def mine_quantum(header_blocks: Sequence[int], layout: RegisterLayout,
         dist = problem.distribution(iterations)
         value = int(np.argmax(dist)) if exact_readout else sample_readout(dist, rng)
         if value not in digests:
-            digests[value] = hash_classical([prefix ^ value], hp)
+            digests[value] = hash_classical([problem.prefix ^ value], hp)
         digest = digests[value]
         return value, dist, digest, digest.meets_difficulty(zeros)
 

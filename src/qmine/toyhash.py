@@ -4,8 +4,9 @@ Single-rate sponge (block width = digest width) over an m-bit state,
 4 <= m <= 16, built solely from XOR / AND / rotate / constants so it has
 a direct reversible-circuit realization.  Two implementations are
 provided and must agree bit-for-bit: the classical reference
-(``hash_classical``; ``absorb`` runs the same sponge on int64 arrays, for
-``hash_many``'s nonces and a chain's header columns) and the circuit
+(``hash_classical``, which checks its blocks and runs ``absorb``, the one
+sponge loop, also run on int64 arrays for ``hash_many``'s nonces and a
+chain's header columns) and the circuit
 builders that hash every nonce value in superposition.
 
 Round structure (sequential in-place semantics, index ascending — the
@@ -139,14 +140,13 @@ def _rounds(state_bits, params: HashParams):
 
 
 def hash_classical(message_blocks: Sequence[int], params: HashParams) -> Digest:
-    """Sponge absorb: state ^= block, permute; digest is the final state."""
+    """Sponge absorb: state ^= block, permute; digest is the final state.
+    Every block is checked before ``absorb`` runs the loop."""
     if not message_blocks:
         raise ValueError("message must contain at least one block")
-    state = 0
     for block in message_blocks:
-        state ^= check_block(block, params)
-        state = permute(state, params)
-    return Digest(state, params.digest_bits)
+        check_block(block, params)
+    return Digest(absorb(message_blocks, params), params.digest_bits)
 
 
 def absorb(blocks, params: HashParams, state=0):

@@ -9,6 +9,7 @@ from itertools import groupby
 
 import numpy as np
 
+import qmine.toyhash
 from qmine import (Circuit, Digest, Gate, MiningParams, MiningResult,
                    RegisterLayout, SearchProblem, StateVector, build_diffusion,
                    build_hash_circuit, build_oracle, emit_rotate_left, enumerate_solutions,
@@ -21,6 +22,18 @@ from qmine.chain import (REASON_DIFFICULTY, REASON_DIGEST_MISMATCH,
 from qmine.miner import UNKNOWN_COUNT_GROWTH
 from qmine.statevector import permute_labels
 from qmine.toyhash import GOLDEN_RATIO_32, HashParams
+
+
+def count_rounds_calls(monkeypatch) -> list:
+    """Wrap ``toyhash._rounds``; the returned list grows by one per call."""
+    calls, rounds = [], qmine.toyhash._rounds
+
+    def counted(state, params):
+        calls.append(state)
+        return rounds(state, params)
+
+    monkeypatch.setattr(qmine.toyhash, "_rounds", counted)
+    return calls
 
 
 def permute_oracle(x: int, m: int, r: int, true_chi: bool = False) -> int:

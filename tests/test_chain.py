@@ -14,9 +14,9 @@ import qmine.chain
 import qmine.toyhash
 from qmine.chain import SCAN_CHUNK, header_digest
 from qmine.toyhash import Digest
-from helpers import (find_header_with_count, reference_chain_validate,
-                     reference_mine_classical, reference_validate_block,
-                     reference_validate_chain)
+from helpers import (count_rounds_calls, find_header_with_count,
+                     reference_chain_validate, reference_mine_classical,
+                     reference_validate_block, reference_validate_chain)
 
 HP = HashParams(8, 2)
 
@@ -289,18 +289,6 @@ def corrupted_chains(draw):
                 pass
         blocks[i] = Block(header, digest)
     return chain, sorted({0, *targets})
-
-
-def count_rounds_calls(monkeypatch) -> list:
-    """Wrap ``toyhash._rounds``; the returned list grows by one per call."""
-    calls, rounds = [], qmine.toyhash._rounds
-
-    def counted(state, params):
-        calls.append(state)
-        return rounds(state, params)
-
-    monkeypatch.setattr(qmine.toyhash, "_rounds", counted)
-    return calls
 
 
 class TestBatchedValidation:

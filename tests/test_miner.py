@@ -17,8 +17,8 @@ import qmine.miner
 import qmine.toyhash
 from qmine.miner import UNKNOWN_COUNT_GROWTH, gates_per_iteration, header_prefix
 from qmine.toyhash import hash_gate_count
-from helpers import (assert_matches_reference, find_header_with_count,
-                     max_global_phase_deviation, reference_compile,
+from helpers import (assert_matches_reference, count_rounds_calls,
+                     find_header_with_count, max_global_phase_deviation, reference_compile,
                      reference_enumerate_solutions, reference_hash_circuit,
                      reference_mine_classical, reference_mine_quantum,
                      reference_run, simulated_gates_per_iteration)
@@ -520,6 +520,23 @@ class TestMineQuantum:
                 reference_mine_quantum(header, layout, mining,
                                        exact_readout=exact, **kernels))
 
+    @pytest.mark.parametrize("field", ["header", "layout", "hash_params", "zeros"])
+    def test_problem_of_another_search_is_refused(self, field):
+        # the problem sets both the mask and the verified header, so one
+        # built for another search would mine it without a word
+        search = dict(header=[0x12, 0x34, 0x56, 0x78],
+                      layout=RegisterLayout.standard(4, 8), hash_params=HP82, zeros=4)
+        other = dict(header=[0x12, 0x34, 0x56, 0x79],
+                     layout=RegisterLayout.standard(3, 8),
+                     hash_params=HashParams(8, 2, True), zeros=5)
+        built = SearchProblem.build(*{**search, field: other[field]}.values())
+        header, layout, hp, zeros = search.values()
+        with pytest.raises(ValueError, match=f"^problem was built for {field} "):
+            mine_quantum(header, layout, MiningParams(zeros, hp), problem=built)
+        own = SearchProblem.build(tuple(header), layout, hp, zeros)
+        assert mine_quantum(header, layout, MiningParams(zeros, hp), problem=own) == \
+            mine_quantum(header, layout, MiningParams(zeros, hp))
+
     def test_past_the_state_vector_cap(self):
         # q = 29: no StateVector could hold this register
         params = HashParams(16, 2)
@@ -906,6 +923,64 @@ class TestCarriedState:
         assert tried > 0  # some round did read a nonce again
 
 
+class TestPrefixFromCompile:
+    """A quantum mine takes the header's sponge state from its compile: the
+    round code runs once per distinct nonce read and never on the header."""
+
+    SIZES = [(3, 8), (4, 8), (4, 12), (6, 10)]
+
+    @pytest.mark.parametrize("n, m", SIZES)
+    def test_build_runs_no_rounds(self, n, m, monkeypatch):
+        hp, layout = HashParams(m, 2), RegisterLayout.standard(n, m)
+        # cold tables too: they are read off the gates, not off the sponge
+        qmine.miner._cached_round_tables.cache_clear()
+        qmine.miner._cached_search_tables.cache_clear()
+        calls = count_rounds_calls(monkeypatch)
+        rng = np.random.default_rng([n, m])
+        for length in range(5):
+            header = [int(b) for b in rng.integers(0, hp.mask + 1, size=length)]
+            SearchProblem.build(header, layout, hp, n)
+        assert calls == []
+
+    @pytest.mark.parametrize("hint", [None, 1])
+    @pytest.mark.parametrize("exact", [True, False])
+    @pytest.mark.parametrize("n, m", SIZES)
+    def test_one_rounds_call_per_distinct_readout(self, n, m, exact, hint, monkeypatch):
+        hp, layout = HashParams(m, 2), RegisterLayout.standard(n, m)
+        rng = np.random.default_rng([n, m])
+        headers = [[int(b) for b in rng.integers(0, hp.mask + 1, size=4)]
+                   for _ in range(8)]
+        prefixes = [header_prefix(header, hp) for header in headers]
+        read = []
+        distribution, sample = SearchProblem.distribution, qmine.miner.sample_readout
+
+        def record_argmax(problem, iterations):
+            dist = distribution(problem, iterations)
+            if exact:
+                read.append(int(np.argmax(dist)))
+            return dist
+
+        def record_sample(dist, generator):
+            read.append(sample(dist, generator))
+            return read[-1]
+
+        monkeypatch.setattr(SearchProblem, "distribution", record_argmax)
+        monkeypatch.setattr(qmine.miner, "sample_readout", record_sample)
+        calls = count_rounds_calls(monkeypatch)
+        rounds = 0
+        for seed, (header, prefix) in enumerate(zip(headers, prefixes)):
+            read.clear()
+            calls.clear()
+            result = mine_quantum(header, layout,
+                                  MiningParams(n, hp, solution_count_hint=hint,
+                                               rng_seed=seed),
+                                  exact_readout=exact)
+            assert len(read) == result.hashes_tried
+            assert sorted(state ^ prefix for state in calls) == sorted(set(read))
+            rounds += len(read)
+        assert (rounds == len(headers)) if hint else (rounds > len(headers))
+
+
 def outcome(fn, *args):
     """``fn(*args)``, or the message of the ValueError it raises."""
     try:
@@ -930,6 +1005,8 @@ class TestHeaderPrefix:
             v = data.draw(block)
             assert hash_classical([header_prefix(header, hp) ^ v], hp) == \
                 hash_classical(header + [v], hp)
+            assert SearchProblem.build(header, RegisterLayout.standard(1, m), hp,
+                                       0).prefix == header_prefix(header, hp)
 
     @pytest.mark.parametrize("n, m, rounds, true_chi",
                              [(4, 8, 2, False), (3, 5, 1, True), (6, 10, 3, False),
