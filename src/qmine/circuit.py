@@ -93,11 +93,8 @@ class Circuit:
         self.gates.append(gate)
 
     def extend(self, gates: Iterable[Gate]) -> None:
-        gates = list(gates)
-        if any(g.mask >> self.num_qubits for g in gates):
-            for g in gates:
-                self.append(g)  # names the first bad qubit; the gates before it stay
-        self.gates += gates
+        for g in gates:
+            self.append(g)  # names the first bad qubit; the gates before it stay
 
     def __len__(self) -> int:
         return len(self.gates)

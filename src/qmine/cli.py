@@ -254,11 +254,10 @@ def cmd_mine(cfg: argparse.Namespace) -> int:
         results["classical"] = mine_classical(blocks, params, cfg.n)
     if cfg.mode in ("quantum", "both"):
         layout = RegisterLayout.standard(cfg.n, cfg.m)
-        problem = SearchProblem.build(blocks, layout, hp, cfg.zeros)
         if cfg.dump_circuits:
-            _dump_circuits(cfg.dump_circuits, problem)
-        results["quantum"] = mine_quantum(blocks, layout, params,
-                                          exact_readout=cfg.exact, problem=problem)
+            _dump_circuits(cfg.dump_circuits,
+                           SearchProblem.build(blocks, layout, hp, cfg.zeros))
+        results["quantum"] = mine_quantum(blocks, layout, params, exact_readout=cfg.exact)
 
     print(f"difficulty: top {cfg.zeros} of {cfg.m} digest bits must be zero "
           f"(nonce space 2^{cfg.n})")

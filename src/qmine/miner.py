@@ -218,10 +218,6 @@ class SearchProblem:
         return build_hash_circuit(self.layout, self.header_blocks, self.hash_params)
 
     @cached_property
-    def hash_inverse(self) -> Circuit:
-        return invert(self.hash_circuit)
-
-    @cached_property
     def oracle(self) -> Circuit:
         return build_oracle(self.layout, self.zeros)
 
@@ -268,7 +264,7 @@ def gates_per_iteration(layout: RegisterLayout, header_blocks: Sequence[int],
 @lru_cache(maxsize=8)
 def _cached_round_tables(layout: RegisterLayout, hash_params: HashParams) -> tuple:
     """The r-round gate block every hash circuit repeats, and its register table."""
-    block = _shared_gates(layout.nonce, layout.hash, hash_params, ())[2]
+    _, block = _shared_gates(layout.nonce, layout.hash, hash_params, ())
     return block, _register_table(block, layout.hash)
 
 
@@ -281,7 +277,7 @@ def _cached_search_tables(layout: RegisterLayout, hash_params: HashParams,
     iff marks[absorb[v] ^ prefix] and the unhash clears the field, provided the
     CNOTs read only nonce qubits and write only the hash field and the oracle
     reads only that field and writes only the functional qubit."""
-    cnots = _shared_gates(layout.nonce, layout.hash, hash_params, ())[1]
+    cnots, _ = _shared_gates(layout.nonce, layout.hash, hash_params, ())
     _, forward = _cached_round_tables(layout, hash_params)
     oracle = build_oracle(layout, zeros).gates
     low, functional = layout.hash[0], 1 << layout.functional
@@ -423,16 +419,16 @@ def sample_readout(dist: np.ndarray, rng: np.random.Generator) -> int:
 
 
 def mine_quantum(header_blocks: Sequence[int], layout: RegisterLayout,
-                 params: MiningParams, *, exact_readout: bool = False,
-                 problem: SearchProblem | None = None) -> MiningResult:
+                 params: MiningParams, *, exact_readout: bool = False) -> MiningResult:
     """Run the full search and return a classically verified result.
 
     With a solution-count hint the optimal iteration count is used
-    directly.  Without one, rounds of exponentially growing budget
-    (ratio 6/5) each end in one readout plus classical verification,
-    until success or until the cumulative iteration budget
-    max_grover_rounds * ceil(pi/4 * sqrt(2^n)) is exhausted — failure
-    then may mean no solution exists.
+    directly.  Without one, rounds of k_t = ceil(1.2^t) iterations each end
+    in one readout plus classical verification, until success or until the
+    iterations used exceed the cap max_grover_rounds * ceil(pi/4 * sqrt(2^n)).
+    The round that crosses the cap runs in full, so a failed run reports
+    between cap + 1 and cap + k_t iterations; failure then may mean no
+    solution exists.
 
     Every round restarts from the prepared state, as a device must.
 
@@ -447,24 +443,11 @@ def mine_quantum(header_blocks: Sequence[int], layout: RegisterLayout,
     Verification hashes each distinct nonce read once, as the single block
     ``hash_classical([problem.prefix ^ value])``: the header's sponge state
     comes from the search's compile, so no header block is hashed here.
-    ``problem`` is the header's ``SearchProblem``, when the caller has
-    built it already; one built for another header, layout, hash_params or
-    zeros is a ValueError.
     """
     n = len(layout.nonce)
     hp = params.hash_params
     zeros = params.difficulty_zeros
-    if problem is None:
-        problem = SearchProblem.build(header_blocks, layout, hp, zeros)
-    else:
-        for name, built, wanted in (
-                ("header", problem.header_blocks, tuple(header_blocks)),
-                ("layout", problem.layout, layout),
-                ("hash_params", problem.hash_params, hp),
-                ("zeros", problem.zeros, zeros)):
-            if built != wanted:
-                raise ValueError(f"problem was built for {name} {built!r}, "
-                                 f"not {wanted!r}")
+    problem = SearchProblem.build(header_blocks, layout, hp, zeros)
     rng = None if exact_readout else np.random.default_rng(params.rng_seed)
     digests: dict[int, Digest] = {}  # a nonce read again is not hashed again
 

@@ -61,11 +61,6 @@ class HashParams:
             raise ValueError(f"rounds must be in 1..{MAX_ROUNDS}, got {self.rounds}")
 
     @property
-    def block_bits(self) -> int:
-        # single-rate sponge: absorption block width equals the state width
-        return self.digest_bits
-
-    @property
     def mask(self) -> int:
         return (1 << self.digest_bits) - 1
 
@@ -217,35 +212,27 @@ def _check_layout(layout: "RegisterLayout", params: HashParams) -> None:
 @lru_cache(maxsize=8)
 def _shared_gates(nonce: tuple[int, ...], hash_qubits: tuple[int, ...],
                   params: HashParams, service: tuple[int, ...]) -> tuple:
-    """Each hash qubit's X, the nonce CNOTs and all r rounds: shared by all headers."""
+    """The nonce CNOTs and all r rounds: shared by all headers."""
     rounds = Circuit(max(nonce + hash_qubits + service) + 1)
     for j in range(params.rounds):
         _emit_round(rounds, hash_qubits, j, params, service)
-    return (tuple(map(Gate.x, hash_qubits)),
-            tuple(Gate.cnot(q, hash_qubits[i]) for i, q in enumerate(nonce)),
+    return (tuple(Gate.cnot(q, hash_qubits[i]) for i, q in enumerate(nonce)),
             tuple(rounds.gates))
 
 
 def _emit_absorbs(circuit: Circuit, layout: "RegisterLayout",
                   header_blocks: Sequence[int], params: HashParams,
                   service: tuple[int, ...] = ()) -> None:
-    xs, nonce_cnots, rounds = _shared_gates(layout.nonce, layout.hash, params, service)
-    # the shared gates act on these qubits alone: if the highest fits, the
-    # tuples are spliced without Circuit.extend's test of every gate
-    top = max(layout.nonce + layout.hash + service)
-    if top >= circuit.num_qubits:
-        raise IndexError(f"qubit {top} out of range for {circuit.num_qubits}-qubit "
-                         f"circuit {circuit.label!r}")
-    gates = circuit.gates
+    nonce_cnots, rounds = _shared_gates(layout.nonce, layout.hash, params, service)
     # header_blocks may be empty: the nonce block below is always absorbed
     for block in header_blocks:
         check_block(block, params)
-        gates += [x for i, x in enumerate(xs) if (block >> i) & 1]
-        gates += rounds
+        circuit.extend(Gate.x(q) for i, q in enumerate(layout.hash) if (block >> i) & 1)
+        circuit.extend(rounds)
     # the nonce is always the final block, so the header prefix above is
     # nonce-independent and can be reused across mining attempts
-    gates += nonce_cnots
-    gates += rounds
+    circuit.extend(nonce_cnots)
+    circuit.extend(rounds)
 
 
 def build_hash_circuit(layout: "RegisterLayout", header_blocks: Sequence[int],

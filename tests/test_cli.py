@@ -183,22 +183,21 @@ class TestMineCommand:
         assert "# oracle" in text and "# diffusion" in text
         assert "MCX" in text and "SWAP" in text
 
-    def test_dump_circuits_builds_one_search_problem(self, tmp_path, capsys,
-                                                     monkeypatch):
-        builds = []
-        build = SearchProblem.build
+    @pytest.mark.parametrize("readout", [[], ["--exact"]], ids=["sampled", "exact"])
+    @pytest.mark.parametrize("count", [0, 1, 2])
+    def test_dump_does_not_perturb_the_mine(self, tmp_path, capsys, readout, count):
+        # the dump builds its own search problem; the mine must not see it
+        payload, ts, _ = find_cli_header(4, 8, 2, 4, count)
+        argv = ["mine", *BASE, "--payload", format(payload, "x"), "--timestamp",
+                str(ts), "--mode", "both", *readout]
 
-        def counting(*args):
-            builds.append(args)
-            return build(*args)
+        def run(*extra):
+            code = main([*argv, "--csv-out", str(tmp_path / "runs.csv"), *extra])
+            return code, capsys.readouterr(), (tmp_path / "runs.csv").read_bytes()
 
-        monkeypatch.setattr(SearchProblem, "build", staticmethod(counting))
-        code = main(["mine", *BASE, "--payload", "5a", "--timestamp", "3",
-                     "--mode", "quantum", "--dump-circuits",
-                     str(tmp_path / "circuits.txt")])
-        capsys.readouterr()
-        assert code == EXIT_OK
-        assert len(builds) == 1
+        plain = run()
+        assert run("--dump-circuits", str(tmp_path / "c.txt")) == plain
+        assert (tmp_path / "c.txt").read_text().startswith("# hash\n")
 
     def test_dump_circuits_golden(self, tmp_path, capsys):
         # hash, oracle and diffusion of (4, 8, 2) at zeros 4, frozen byte for byte

@@ -29,9 +29,6 @@ class TestParams:
         with pytest.raises(ValueError):
             HashParams(8, r)
 
-    def test_block_width_equals_digest_width(self):
-        assert HashParams(10, 2).block_bits == 10
-
 
 class TestPermute:
     # golden values frozen from two independent reference evaluations
@@ -424,19 +421,20 @@ class TestBuildersEqualReference:
                 build_hash_circuit(layout, [0x3, bad], params)
 
     @pytest.mark.parametrize("with_service", [False, True])
-    def test_shared_gates_checked_once_against_the_circuit(self, with_service):
-        # the cached tuples are spliced unchecked, so the absorb checks the
-        # highest qubit they use and names it, before any gate is added
+    def test_too_narrow_circuit_names_first_bad_qubit(self, with_service):
+        # every gate goes through Circuit.append: the first gate that does
+        # not fit raises its IndexError, and the gates before it stay
         layout, params = RegisterLayout.standard(2, 4, 4), HashParams(4, 1)
         service = layout.service if with_service else ()
-        top = max(layout.hash + service)
-        for width in (top, 3):
+        full = reference_hash_circuit(layout, [0x3], params, service).gates
+        for width in (max(layout.hash + service), 3, 1):
+            first = next(i for i, g in enumerate(full) if g.mask >> width)
+            bad = next(q for q in full[first].qubits() if q >= width)
             circuit = Circuit(width, label="small")
-            with pytest.raises(IndexError, match=rf"qubit {top} out of range "
-                                                 rf"for {width}-qubit circuit 'small'"):
+            with pytest.raises(IndexError, match=rf"^qubit {bad} out of range "
+                                                 rf"for {width}-qubit circuit 'small'$"):
                 _emit_absorbs(circuit, layout, [0x3], params, service)
-            assert circuit.gates == []
-        circuit = Circuit(top + 1)
+            assert circuit.gates == full[:first]
+        circuit = Circuit(max(layout.hash + service) + 1)
         _emit_absorbs(circuit, layout, [0x3], params, service)
-        assert format_circuit(circuit) == format_circuit(
-            reference_hash_circuit(layout, [0x3], params, service))
+        assert circuit.gates == full
