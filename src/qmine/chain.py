@@ -100,20 +100,18 @@ def mine_classical(header_blocks: Sequence[int], params: MiningParams,
         solved = np.flatnonzero(has_leading_zeros(digests, hp.digest_bits,
                                                   params.difficulty_zeros))
         if solved.size:
-            value = start + int(solved[0])
-            return MiningResult(
-                nonce=value, nonce_bits=format(value, f"0{nonce_bits}b"),
-                digest=Digest(int(digests[solved[0]]), hp.digest_bits), success=True,
-                grover_iterations_used=0, success_probability_at_measurement=1.0,
-                total_gates=0, hashes_tried=value + 1)
-    if fits < space:
-        check_block(fits, hp)  # nonce 2^m, the first that does not fit
-    last = space - 1
+            value, digest = start + int(solved[0]), digests[solved[0]]
+            break
+    else:
+        if fits < space:
+            check_block(fits, hp)  # nonce 2^m, the first that does not fit
+        value, digest = space - 1, digests[-1]
+    success = bool(solved.size)
     return MiningResult(
-        nonce=last, nonce_bits=format(last, f"0{nonce_bits}b"),
-        digest=Digest(int(digests[-1]), hp.digest_bits), success=False,
-        grover_iterations_used=0, success_probability_at_measurement=0.0,
-        total_gates=0, hashes_tried=space)
+        nonce=value, nonce_bits=format(value, f"0{nonce_bits}b"),
+        digest=Digest(int(digest), hp.digest_bits), success=success,
+        grover_iterations_used=0, success_probability_at_measurement=float(success),
+        total_gates=0, hashes_tried=value + 1)
 
 
 def compute_required_zeros(nonce_bits: int, digest_bits: int) -> int:

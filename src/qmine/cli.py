@@ -46,8 +46,8 @@ def _opt(name: str, default=None, convert=None, **flag) -> tuple:
     """One option, declared once: the flag ``--name`` (dashes for
     underscores) from the add_argument keywords ``flag`` and, with a
     ``convert``, the config key ``name``.  ``convert`` checks a flag value
-    and a config value alike; without one the option is flag-only.  Every
-    parser built from the tables also takes ``--config``."""
+    and a config value alike, not the default; without one the option is
+    flag-only.  Every parser built from the tables also takes ``--config``."""
     return name, default, convert, flag
 
 
@@ -91,23 +91,23 @@ RUN_OPTIONS = (  # flags of mine and sweep
          help="derive zeros as n+1 (expected half a solution)"),
     _opt("true_chi", False, json_bool, action=_BOOL,
          help="use the inverted-operand chi nonlinearity"),
-    _opt("prev", "0", _hex, help="previous digest, hex"),
-    _opt("payload", "0", _hex, help="payload digest, hex"),
+    _opt("prev", 0, _hex, help="previous digest, hex"),
+    _opt("payload", 0, _hex, help="payload digest, hex"),
     _opt("timestamp", 0, json_int, type=int, help="header timestamp"),
     _opt("csv_out", None, _optional_str, help="write machine-readable CSV here"),
     _opt("dump_circuits", None, _optional_str,
          help="write a textual dump of the built circuits"),
 )
 
-MINE_OPTIONS = (  # flags of mine; sweep reads them from its config file too
+MINE_OPTIONS = (  # flags of mine; a sweep config file may hold them too
     _opt("mode", "both", str, choices=("classical", "quantum", "both")),
     _opt("seed", 0, _non_negative, type=int, help="rng seed for measurements"),
     _opt("exact", False, json_bool, action=_BOOL,
          help="deterministic argmax readout instead of sampling"),
     _opt("max_grover_rounds", 3, json_int, type=int,
          help="budget multiplier when the solution count is unknown"),
-    _opt("hint", 0, lambda value: json_int(value) or None, type=int,
-         help="known solution count (runs the optimal iteration count directly)"),
+    _opt("hint", None, json_int, type=int,
+         help="known solution count >= 1 (runs the optimal iteration count once)"),
     _opt("chain_file", None, _optional_str,
          help="append the mined block to this chain file"),
 )
@@ -159,15 +159,16 @@ def _read_config(args: argparse.Namespace) -> dict:
 
 def _resolve(args: argparse.Namespace, options: Sequence[tuple], config: dict) -> None:
     """Set each option on ``args``: a flag overrides the config file, which
-    overrides the default."""
+    overrides the default.  Only a flag or config value is converted."""
     for name, default, convert, _ in options:
         if convert is None:
             continue
         value = getattr(args, name, None)
+        given = value is not None or name in config
         if value is None:
             value = config.get(name, default)
         try:
-            setattr(args, name, convert(value))
+            setattr(args, name, convert(value) if given else value)
         except (TypeError, ValueError):
             raise ValueError(f"invalid value for {name}: {value!r}") from None
 
@@ -176,16 +177,15 @@ def _hash_params(cfg: argparse.Namespace) -> HashParams:
     return HashParams(cfg.m, cfg.rounds, cfg.true_chi)
 
 
-def _resolve_run_config(args: argparse.Namespace) -> argparse.Namespace:
-    _resolve(args, RUN_OPTIONS + MINE_OPTIONS, _read_config(args))
+def _resolve_run_config(args: argparse.Namespace,
+                        options: Sequence[tuple]) -> argparse.Namespace:
+    _resolve(args, options, _read_config(args))
     if args.auto_zeros or args.zeros == "auto":
         args.zeros = compute_required_zeros(args.n, args.m)
     if args.n < 1:
         raise ValueError("n must be >= 1")
     if args.n > args.m:
         raise ValueError(f"nonce bits ({args.n}) must not exceed hash bits ({args.m})")
-    if args.mode not in ("classical", "quantum", "both"):
-        raise ValueError(f"mode must be classical, quantum or both, got {args.mode!r}")
     return args
 
 
@@ -231,6 +231,8 @@ def _header(cfg: argparse.Namespace, prev: int) -> BlockHeader:
 
 
 def cmd_mine(cfg: argparse.Namespace) -> int:
+    if cfg.mode not in ("classical", "quantum", "both"):
+        raise ValueError(f"mode must be classical, quantum or both, got {cfg.mode!r}")
     hp = _hash_params(cfg)
     chain = None
     prev = cfg.prev
@@ -318,8 +320,8 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
         _dump_circuits(cfg.dump_circuits, problem)
 
     rows = []
-    for k, dist in zip(range(k_max + 1), problem.distributions()):
-        simulated = float(dist[solutions].sum())
+    for k in range(k_max + 1):  # each k takes one step of the recurrence
+        simulated = float(problem.distribution(k)[solutions].sum())
         analytic = analytic_success_probability(cfg.n, count, k)
         rows.append([k, _fmt(simulated), _fmt(analytic),
                      _fmt(abs(simulated - analytic))])
@@ -421,9 +423,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "mine":
-            return cmd_mine(_resolve_run_config(args))
+            return cmd_mine(_resolve_run_config(args, RUN_OPTIONS + MINE_OPTIONS))
         if args.command == "sweep":
-            return cmd_sweep(_resolve_run_config(args))
+            return cmd_sweep(_resolve_run_config(args, RUN_OPTIONS))
         if args.command == "estimate":
             return cmd_estimate(args)
         if args.command == "chain":

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import count
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -230,26 +230,28 @@ class SearchProblem:
         """The module's ``gates_per_iteration`` for this header's search."""
         return gates_per_iteration(self.layout, self.header_blocks, self.hash_params)
 
+    @cached_property
+    def _walked(self) -> list:  # [k, A, C] of the last distribution call
+        return [0, 1, 1]
+
     def distribution(self, iterations: int) -> np.ndarray:
         """The nonce distribution after ``iterations`` search iterations from
         ``prepare``'s state.  With N = 2^n and M marked, the marked and other
         amplitudes are A and C over sqrt(N) N^k, integers that start at 1
         and map to (2M - N) A - 2(N - M) C and 2M A + (2M - N) C per
         iteration; each probability, A^2 or C^2 over N^(2k+1), is one
-        correctly rounded int / int division."""
-        return next(self.distributions(iterations))
-
-    def distributions(self, first: int = 0) -> Iterator[np.ndarray]:
-        """``distribution(k)`` for k = first, first + 1, ..., carrying A and C
-        from one k to the next and dividing only at the k yielded."""
+        correctly rounded int / int division.  A and C are carried from the
+        last call: a k no smaller than its k takes only the steps between,
+        and a smaller k starts again from k = 0."""
         space, solutions = len(self.marked), int(self.marked.sum())
-        a = c = 1
-        for k in count():
-            if k >= first:
-                scale = space ** (2 * k + 1)
-                yield np.where(self.marked, a * a / scale, c * c / scale)
+        walked = self._walked
+        k, a, c = walked if iterations >= walked[0] else (0, 1, 1)
+        for _ in range(iterations - k):
             a, c = ((2 * solutions - space) * a - 2 * (space - solutions) * c,
                     2 * solutions * a + (2 * solutions - space) * c)
+        walked[:] = iterations, a, c
+        scale = space ** (2 * iterations + 1)
+        return np.where(self.marked, a * a / scale, c * c / scale)
 
 
 def gates_per_iteration(layout: RegisterLayout, header_blocks: Sequence[int],
@@ -262,23 +264,17 @@ def gates_per_iteration(layout: RegisterLayout, header_blocks: Sequence[int],
 
 
 @lru_cache(maxsize=8)
-def _cached_round_tables(layout: RegisterLayout, hash_params: HashParams) -> tuple:
-    """The r-round gate block every hash circuit repeats, and its register table."""
-    _, block = _shared_gates(layout.nonce, layout.hash, hash_params, ())
-    return block, _register_table(block, layout.hash)
-
-
-@lru_cache(maxsize=8)
 def _cached_search_tables(layout: RegisterLayout, hash_params: HashParams,
                           zeros: int) -> tuple:
-    """The round table ``forward`` and, read off the gates, ``absorb``,
-    what the nonce CNOTs XOR into nonce v's hash field, and ``marks``, whether
-    the oracle fires on field forward[x].  Hash and oracle then flip nonce v
-    iff marks[absorb[v] ^ prefix] and the unhash clears the field, provided the
+    """The round table ``forward``, where the r rounds every hash circuit
+    repeats move each hash value, and, read off the gates, ``absorb``, what
+    the nonce CNOTs XOR into nonce v's hash field, and ``marks``, whether the
+    oracle fires on field forward[x].  Hash and oracle then flip nonce v iff
+    marks[absorb[v] ^ prefix] and the unhash clears the field, provided the
     CNOTs read only nonce qubits and write only the hash field and the oracle
     reads only that field and writes only the functional qubit."""
-    cnots, _ = _shared_gates(layout.nonce, layout.hash, hash_params, ())
-    _, forward = _cached_round_tables(layout, hash_params)
+    cnots, rounds = _shared_gates(layout.nonce, layout.hash, hash_params, ())
+    forward = _register_table(rounds, layout.hash)
     oracle = build_oracle(layout, zeros).gates
     low, functional = layout.hash[0], 1 << layout.functional
     nonce_mask, field = (1 << len(layout.nonce)) - 1, (len(forward) - 1) << low
@@ -422,10 +418,11 @@ def mine_quantum(header_blocks: Sequence[int], layout: RegisterLayout,
                  params: MiningParams, *, exact_readout: bool = False) -> MiningResult:
     """Run the full search and return a classically verified result.
 
-    With a solution-count hint the optimal iteration count is used
-    directly.  Without one, rounds of k_t = ceil(1.2^t) iterations each end
-    in one readout plus classical verification, until success or until the
-    iterations used exceed the cap max_grover_rounds * ceil(pi/4 * sqrt(2^n)).
+    Rounds of k_t iterations each end in one readout plus classical
+    verification.  With a solution-count hint the schedule is one round at
+    the optimal iteration count.  Without one it is k_t = ceil(1.2^t), run
+    until success or until the iterations used exceed the cap
+    max_grover_rounds * ceil(pi/4 * sqrt(2^n)).
     The round that crosses the cap runs in full, so a failed run reports
     between cap + 1 and cap + k_t iterations; failure then may mean no
     solution exists.
@@ -448,44 +445,32 @@ def mine_quantum(header_blocks: Sequence[int], layout: RegisterLayout,
     hp = params.hash_params
     zeros = params.difficulty_zeros
     problem = SearchProblem.build(header_blocks, layout, hp, zeros)
+    if params.solution_count_hint is None:
+        schedule = (math.ceil(UNKNOWN_COUNT_GROWTH ** t) for t in count())
+    else:
+        schedule = [iteration_count(n, params.solution_count_hint)]
+    budget_cap = params.max_grover_rounds * math.ceil(math.pi / 4 * math.sqrt(1 << n))
     rng = None if exact_readout else np.random.default_rng(params.rng_seed)
     digests: dict[int, Digest] = {}  # a nonce read again is not hashed again
-
-    def run_round(iterations: int) -> tuple[int, np.ndarray, Digest, bool]:
-        dist = problem.distribution(iterations)
+    used = hashes = 0
+    for k in schedule:
+        dist = problem.distribution(k)
         value = int(np.argmax(dist)) if exact_readout else sample_readout(dist, rng)
         if value not in digests:
             digests[value] = hash_classical([problem.prefix ^ value], hp)
-        digest = digests[value]
-        return value, dist, digest, digest.meets_difficulty(zeros)
-
-    def result(value, digest, ok, used, dist, hashes) -> MiningResult:
-        return MiningResult(
-            nonce=value,
-            nonce_bits=format(value, f"0{n}b"),
-            digest=digest,
-            success=ok,
-            grover_iterations_used=used,
-            success_probability_at_measurement=float(dist[problem.marked].sum()),
-            # prepare (n + 2 gates) once per round, plus every iteration
-            total_gates=hashes * (n + 2) + used * problem.gates_per_iteration,
-            hashes_tried=hashes,
-        )
-
-    if params.solution_count_hint is not None:
-        k = iteration_count(n, params.solution_count_hint)
-        value, dist, digest, ok = run_round(k)
-        return result(value, digest, ok, k, dist, 1)
-
-    budget_cap = params.max_grover_rounds * math.ceil(math.pi / 4 * math.sqrt(1 << n))
-    used = 0
-    hashes = 0
-    t = 0
-    while True:
-        k_t = math.ceil(UNKNOWN_COUNT_GROWTH ** t)
-        value, dist, digest, ok = run_round(k_t)
-        used += k_t
+        ok = digests[value].meets_difficulty(zeros)
+        used += k
         hashes += 1
         if ok or used > budget_cap:
-            return result(value, digest, ok, used, dist, hashes)
-        t += 1
+            break
+    return MiningResult(
+        nonce=value,
+        nonce_bits=format(value, f"0{n}b"),
+        digest=digests[value],
+        success=ok,
+        grover_iterations_used=used,
+        success_probability_at_measurement=float(dist[problem.marked].sum()),
+        # prepare (n + 2 gates) once per round, plus every iteration
+        total_gates=hashes * (n + 2) + used * problem.gates_per_iteration,
+        hashes_tried=hashes,
+    )

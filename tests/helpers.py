@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import replace
 from functools import lru_cache
 from itertools import groupby
 
 import numpy as np
 
+import qmine.miner
 import qmine.toyhash
 from qmine import (Circuit, Digest, Gate, MiningParams, MiningResult,
                    RegisterLayout, SearchProblem, StateVector, build_diffusion,
@@ -34,6 +36,24 @@ def count_rounds_calls(monkeypatch) -> list:
 
     monkeypatch.setattr(qmine.toyhash, "_rounds", counted)
     return calls
+
+
+_DISTRIBUTION = SearchProblem.distribution.__code__
+
+
+def count_recurrence_steps(monkeypatch) -> list:
+    """Record the length of every ``range`` that ``SearchProblem.distribution``
+    loops over: the sum is the steps of the class integers' recurrence."""
+    steps = []
+
+    def spy(*args):
+        span = range(*args)
+        if sys._getframe(1).f_code is _DISTRIBUTION:
+            steps.append(len(span))
+        return span
+
+    monkeypatch.setattr(qmine.miner, "range", spy, raising=False)
+    return steps
 
 
 def permute_oracle(x: int, m: int, r: int, true_chi: bool = False) -> int:

@@ -19,7 +19,7 @@ from qmine import RegisterLayout, cli
 import qmine.miner
 from qmine.chain import Chain, save_chain
 from qmine.cli import EXIT_EXHAUSTED, EXIT_INVALID_CHAIN, EXIT_OK, EXIT_USAGE, main
-from helpers import simulated_gates_per_iteration
+from helpers import count_recurrence_steps, simulated_gates_per_iteration
 
 
 def find_cli_header(n, m, rounds, zeros, count, prev=0):
@@ -377,6 +377,25 @@ class TestMalformedInput:
         self.assert_usage_error(capsys, ["mine", "--seed", "-1", "--mode", mode],
                                 "invalid value for seed: -1")
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("mode", ["classical", "quantum", "both"])
+    def test_hint_of_zero(self, tmp_path, capsys, source, mode):
+        # a stated count of 0 is refused like any count below 1, not read
+        # as no hint
+        argv = ["mine", "--mode", mode, *SWEEP_BASE]
+        if source == "flag":
+            argv += ["--hint", "0"]
+        else:
+            (tmp_path / "run.json").write_text(json.dumps({"hint": 0}))
+            argv += ["--config", str(tmp_path / "run.json")]
+        self.assert_usage_error(capsys, argv, "solution_count_hint must be >= 1 when given")
+
+    def test_config_null_hint(self, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"hint": None}))
+        self.assert_usage_error(capsys, ["mine", "--config", str(config)],
+                                "invalid value for hint: None")
+
     def test_negative_k_max(self, tmp_path, capsys):
         csv_file = tmp_path / "sweep.csv"
         self.assert_usage_error(capsys, ["sweep", *SWEEP_BASE, "--k-max", "-1",
@@ -559,24 +578,17 @@ class TestSweepCommand:
         # every row equals distribution(k) at its k, and the sweep takes one
         # step of the class integers' recurrence per row, not k per row
         payload, ts, solutions = find_cli_header(4, 8, 2, 4, 1)
-        problem = SearchProblem.build([0, payload, ts, 4], RegisterLayout.standard(4, 8),
-                                      HashParams(8, 2), 4)
+        header, layout = [0, payload, ts, 4], RegisterLayout.standard(4, 8)
         k_max = 40
-        expected = [cli._fmt(float(problem.distribution(k)[solutions].sum()))
+        expected = [cli._fmt(float(SearchProblem.build(header, layout, HashParams(8, 2), 4)
+                                   .distribution(k)[solutions].sum()))
                     for k in range(k_max + 1)]
-        walked = []
-
-        def steps():
-            for k in itertools.count():
-                walked.append(k)
-                yield k
-
-        monkeypatch.setattr(qmine.miner, "count", steps)
+        steps = count_recurrence_steps(monkeypatch)
         assert main(["sweep", *SWEEP_BASE, "--payload", format(payload, "x"),
                      "--timestamp", str(ts), "--k-max", str(k_max)]) == EXIT_OK
         rows = list(csv.reader(capsys.readouterr().out.splitlines()))[1:]
         assert [row[1] for row in rows] == expected
-        assert walked == list(range(k_max + 1))
+        assert steps == [0] + [1] * k_max
 
     def test_deterministic_output(self, capsys):
         payload, ts, _ = find_cli_header(4, 8, 2, 4, 1)
@@ -606,6 +618,23 @@ class TestSweepCommand:
         config.write_text(json.dumps({"seed": 7, "mode": "quantum"}))
         assert main([*args, "--config", str(config)]) == EXIT_OK
         assert capsys.readouterr().out == plain
+
+    @pytest.mark.parametrize("config", [{"seed": -1}, {"mode": "bogus"}, {"hint": 0},
+                                        {"seed": -1, "mode": "bogus", "exact": "no"}])
+    def test_config_mine_values_are_not_read(self, tmp_path, capsys, config):
+        # a sweep accepts mine's keys without reading or checking them;
+        # mine refuses the same file
+        payload, ts, _ = find_cli_header(4, 8, 2, 4, 1)
+        args = ["sweep", *SWEEP_BASE, "--payload", format(payload, "x"),
+                "--timestamp", str(ts), "--k-max", "3"]
+        assert main(args) == EXIT_OK
+        plain = capsys.readouterr()
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        assert main([*args, "--config", str(path)]) == EXIT_OK
+        assert capsys.readouterr() == plain
+        assert main(["mine", *SWEEP_BASE, "--config", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_csv_file_output(self, tmp_path, capsys):
         payload, ts, _ = find_cli_header(4, 8, 2, 4, 1)
@@ -668,8 +697,8 @@ class TestEstimateCommand:
         def refuse(*args, **kwargs):
             raise AssertionError("built to count")
 
-        for name in ("_register_table", "_cached_round_tables", "_cached_search_tables",
-                     "build_hash_circuit", "build_oracle", "build_diffusion"):
+        for name in ("_register_table", "_cached_search_tables", "build_hash_circuit",
+                     "build_oracle", "build_diffusion"):
             monkeypatch.setattr(qmine.miner, name, refuse)
         monkeypatch.setattr(SearchProblem, "build", refuse)
         assert main(["estimate", "--measured", *flags]) == EXIT_OK

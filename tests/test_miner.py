@@ -17,7 +17,7 @@ import qmine.miner
 import qmine.toyhash
 from qmine.miner import UNKNOWN_COUNT_GROWTH, gates_per_iteration, header_prefix
 from qmine.toyhash import hash_gate_count
-from helpers import (assert_matches_reference, count_rounds_calls,
+from helpers import (assert_matches_reference, count_recurrence_steps, count_rounds_calls,
                      find_header_with_count, max_global_phase_deviation, reference_compile,
                      reference_enumerate_solutions, reference_hash_circuit,
                      reference_mine_classical, reference_mine_quantum,
@@ -604,6 +604,20 @@ class TestNonceAxisEngine:
             assert last in ties
             assert result.nonce == 0 and not result.success
 
+    @pytest.mark.parametrize("n, m", SIZES_TO_21)
+    def test_smaller_k_equals_a_fresh_problem(self, n, m):
+        # the integers are carried from the last call; asking for a smaller
+        # k starts again, so every k from twice the optimum down to 0 reads
+        # what a problem that never ran gives, bit for bit
+        _, params, header, zeros = random_search(n, m)
+        layout = RegisterLayout.standard(n, m)
+        problem = SearchProblem.build(header, layout, params, zeros)
+        top = 2 * max(iteration_count(n, max(int(problem.marked.sum()), 1)), 1)
+        problem.distribution(top)
+        for k in range(top, -1, -1):
+            fresh = SearchProblem.build(header, layout, params, zeros)
+            assert np.array_equal(problem.distribution(k), fresh.distribution(k))
+
     def test_distribution_allocates_no_amplitude_array(self):
         # the integers grow with k, but no 2^n array is made per iteration:
         # the peak at k = 600 stays within that at k = 1 plus a fixed slack,
@@ -732,8 +746,7 @@ class TestNonceAxisEngine:
 def cold_caches():
     """Empty the per-parameter caches before and after a test that corrupts
     the gates they are built from."""
-    caches = (qmine.toyhash._shared_gates, qmine.miner._cached_round_tables,
-              qmine.miner._cached_search_tables)
+    caches = (qmine.toyhash._shared_gates, qmine.miner._cached_search_tables)
     for cache in caches:
         cache.cache_clear()
     yield
@@ -877,11 +890,32 @@ class TestCarriedState:
         assert asked == budgets
         assert result.grover_iterations_used == sum(budgets)
 
-    def test_hint_runs_once(self, asked):
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_unknown_count_walks_the_recurrence_once(self, monkeypatch, exact):
+        # ceil(1.2^t) never falls, so a header's rounds take max k_t steps
+        # of the class integers' recurrence in all, not the sum of k_t
+        steps = count_recurrence_steps(monkeypatch)
+        layout, rng = RegisterLayout.standard(4, 8), np.random.default_rng(7)
+        lengths = []
+        for seed in range(12):
+            header = [int(b) for b in rng.integers(0, 256, size=4)]
+            steps.clear()
+            mining = MiningParams(seed % 5 + 2, HP82, rng_seed=seed)
+            result = mine_quantum(header, layout, mining, exact_readout=exact)
+            budgets = [math.ceil(UNKNOWN_COUNT_GROWTH ** t)
+                       for t in range(result.hashes_tried)]
+            assert len(steps) == len(budgets)
+            assert sum(steps) == max(budgets)
+            lengths.append(len(budgets))
+        assert max(lengths) > 3  # some header ran rounds that repeat a k
+
+    def test_hint_runs_once(self, asked, monkeypatch):
+        steps = count_recurrence_steps(monkeypatch)
         header, _ = find_header_with_count(4, HP82, 4, 1, seed=2)
         result = mine_quantum(header, RegisterLayout.standard(4, 8),
                               MiningParams(4, HP82, solution_count_hint=1))
         assert asked == [result.grover_iterations_used] == [iteration_count(4, 1)]
+        assert steps == asked
 
     def test_each_nonce_is_verified_once(self, monkeypatch):
         # a nonce read again reuses its digest, while hashes_tried still
@@ -915,7 +949,6 @@ class TestPrefixFromCompile:
     def test_build_runs_no_rounds(self, n, m, monkeypatch):
         hp, layout = HashParams(m, 2), RegisterLayout.standard(n, m)
         # cold tables too: they are read off the gates, not off the sponge
-        qmine.miner._cached_round_tables.cache_clear()
         qmine.miner._cached_search_tables.cache_clear()
         calls = count_rounds_calls(monkeypatch)
         rng = np.random.default_rng([n, m])

@@ -9,9 +9,9 @@ from qmine import (Circuit, Gate, HashParams, RegisterLayout, apply_circuit,
                    assignment_for, build_hash_circuit,
                    build_hash_circuit_outofplace, build_oracle, format_circuit,
                    has_leading_zeros, hash_classical, invert, new_zero_state)
-from qmine.miner import _cached_round_tables, _register_table
-from qmine.toyhash import (_emit_absorbs, check_block, check_zeros, hash_many,
-                           permute, round_constant)
+from qmine.miner import _cached_search_tables, _register_table
+from qmine.toyhash import (_emit_absorbs, _shared_gates, check_block, check_zeros,
+                           hash_many, permute, round_constant)
 from helpers import (hash_oracle, permute_oracle, reference_hash_circuit,
                      set_register, sponge_table)
 
@@ -301,7 +301,7 @@ class TestRoundTables:
     @pytest.mark.parametrize("true_chi", [False, True])
     def test_tables_equal_the_sponge(self, m, rounds, true_chi):
         params = HashParams(m, rounds, true_chi)
-        _, forward = _cached_round_tables(RegisterLayout.standard(1, m), params)
+        forward, _, _ = _cached_search_tables(RegisterLayout.standard(1, m), params, 0)
         assert np.array_equal(forward, sponge_table(params))
         assert forward.dtype == (np.uint8 if m <= 8 else np.uint16)
         assert not forward.flags.writeable
@@ -312,8 +312,9 @@ class TestRoundTables:
     def test_backward_is_the_reversed_block(self, m, rounds, true_chi):
         # every gate is self-inverse, so the reversed block, as the unhash
         # applies it, undoes the forward table
-        layout = RegisterLayout.standard(1, m)
-        block, forward = _cached_round_tables(layout, HashParams(m, rounds, true_chi))
+        layout, params = RegisterLayout.standard(1, m), HashParams(m, rounds, true_chi)
+        block = _shared_gates(layout.nonce, layout.hash, params, ())[1]
+        forward, _, _ = _cached_search_tables(layout, params, 0)
         reversed_table = _register_table(block[::-1], layout.hash)
         assert np.array_equal(reversed_table[forward], np.arange(1 << m))
         assert reversed_table.dtype == forward.dtype
