@@ -58,9 +58,6 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.reasons
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def serialize_header(header: BlockHeader, params: HashParams) -> list[int]:
     """Fixed block sequence [prev, payload, timestamp, difficulty]; the

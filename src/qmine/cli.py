@@ -22,10 +22,10 @@ from .chain import (Block, BlockHeader, Chain, compute_required_zeros, json_bool
                     save_chain, serialize_header)
 from .circuit import format_circuit
 from .miner import (MiningParams, MiningResult, RegisterLayout, SearchProblem,
-                    analytic_success_probability, enumerate_solutions,
-                    estimate_resources, gates_per_iteration, iteration_count,
-                    mine_quantum)
-from .toyhash import HashParams
+                    analytic_success_probability, build_diffusion, build_oracle,
+                    enumerate_solutions, estimate_resources, gates_per_iteration,
+                    iteration_count, mine_quantum)
+from .toyhash import HashParams, build_hash_circuit
 
 EXIT_OK = 0
 EXIT_INVALID_CHAIN = 1
@@ -196,11 +196,12 @@ def _fmt(x: float) -> str:
     return format(x, ".12g")
 
 
-def _dump_circuits(path: str, problem: SearchProblem) -> None:
+def _dump_circuits(path: str, layout: RegisterLayout, blocks: Sequence[int],
+                   hp: HashParams, zeros: int) -> None:
     parts = []
-    for label, circuit in (("hash", problem.hash_circuit),
-                           ("oracle", problem.oracle),
-                           ("diffusion", problem.diffusion)):
+    for label, circuit in (("hash", build_hash_circuit(layout, blocks, hp)),
+                           ("oracle", build_oracle(layout, zeros)),
+                           ("diffusion", build_diffusion(layout))):
         parts.append(f"# {label}")
         parts.append(format_circuit(circuit))
         parts.append("")
@@ -257,8 +258,7 @@ def cmd_mine(cfg: argparse.Namespace) -> int:
     if cfg.mode in ("quantum", "both"):
         layout = RegisterLayout.standard(cfg.n, cfg.m)
         if cfg.dump_circuits:
-            _dump_circuits(cfg.dump_circuits,
-                           SearchProblem.build(blocks, layout, hp, cfg.zeros))
+            _dump_circuits(cfg.dump_circuits, layout, blocks, hp, cfg.zeros)
         results["quantum"] = mine_quantum(blocks, layout, params, exact_readout=cfg.exact)
 
     print(f"difficulty: top {cfg.zeros} of {cfg.m} digest bits must be zero "
@@ -314,10 +314,10 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
     if k_max is None:
         k_max = iteration_count(cfg.n, count)
 
-    problem = SearchProblem.build(blocks, RegisterLayout.standard(cfg.n, cfg.m),
-                                  hp, cfg.zeros)
+    layout = RegisterLayout.standard(cfg.n, cfg.m)
+    problem = SearchProblem.build(blocks, layout, hp, cfg.zeros)
     if cfg.dump_circuits:
-        _dump_circuits(cfg.dump_circuits, problem)
+        _dump_circuits(cfg.dump_circuits, layout, blocks, hp, cfg.zeros)
 
     rows = []
     for k in range(k_max + 1):  # each k takes one step of the recurrence

@@ -23,7 +23,8 @@ from typing import Sequence
 import numpy as np
 
 from .circuit import Circuit, Gate, apply_circuit, invert
-# new_zero_state stays bound here for tracers that wrap miner.new_zero_state
+# new_zero_state and build_hash_circuit stay bound here for tracers that
+# wrap miner.new_zero_state and miner.build_hash_circuit
 from .statevector import StateVector, new_zero_state, permute_labels
 from .toyhash import (Digest, HashParams, _check_layout, _shared_gates,
                       build_hash_circuit, check_block, check_zeros,
@@ -182,7 +183,7 @@ def grover_iteration(state: StateVector, layout: RegisterLayout,
 
 @dataclass(frozen=True, eq=False)
 class SearchProblem:
-    """One header's search, compiled once and shared by every run of it.
+    """One header's search: the two numbers mining reads from its compile.
 
     Between iterations the state is sum_v b_v |v>|0...0>|-> (its functional
     |1> branch is exactly -b), so hash, oracle and unhash only negate b on
@@ -192,12 +193,10 @@ class SearchProblem:
     amplitude and all others at another, so ``distribution`` follows those
     two, not b.  ``prefix`` is the sponge state after the header, which
     ``build`` reads off the round table; ``hash_classical([prefix ^ v])`` is
-    nonce v's digest.  Each problem builds its own circuits on first use."""
+    nonce v's digest.  The circuits come from ``build_hash_circuit``,
+    ``build_oracle`` and ``build_diffusion``, their gate count from
+    ``gates_per_iteration``."""
 
-    layout: RegisterLayout
-    header_blocks: tuple[int, ...]
-    hash_params: HashParams
-    zeros: int
     prefix: int
     marked: np.ndarray
 
@@ -210,25 +209,7 @@ class SearchProblem:
         prefix = 0  # header_prefix, one table lookup per block
         for block in header_blocks:
             prefix = int(forward[prefix ^ block])
-        return SearchProblem(layout, header_blocks, hash_params, zeros, prefix,
-                             marks[absorb ^ prefix])
-
-    @cached_property
-    def hash_circuit(self) -> Circuit:
-        return build_hash_circuit(self.layout, self.header_blocks, self.hash_params)
-
-    @cached_property
-    def oracle(self) -> Circuit:
-        return build_oracle(self.layout, self.zeros)
-
-    @cached_property
-    def diffusion(self) -> Circuit:
-        return build_diffusion(self.layout)
-
-    @property
-    def gates_per_iteration(self) -> int:
-        """The module's ``gates_per_iteration`` for this header's search."""
-        return gates_per_iteration(self.layout, self.header_blocks, self.hash_params)
+        return SearchProblem(prefix, marks[absorb ^ prefix])
 
     @cached_property
     def _walked(self) -> list:  # [k, A, C] of the last distribution call
@@ -346,7 +327,6 @@ class ResourceEstimate:
     quantum_iterations: int
     quantum_gate_count: int
     quantum_seconds: float
-    assumptions: dict
 
 
 def estimate_resources(nonce_bits: int, hash_rate: float, gate_time: float,
@@ -374,11 +354,6 @@ def estimate_resources(nonce_bits: int, hash_rate: float, gate_time: float,
         quantum_iterations=quantum_iterations,
         quantum_gate_count=quantum_gate_count,
         quantum_seconds=quantum_gate_count * gate_time,
-        assumptions={
-            "hash_rate": hash_rate,
-            "gate_time": gate_time,
-            "gates_per_iteration": gates_per_iteration,
-        },
     )
 
 
@@ -471,6 +446,6 @@ def mine_quantum(header_blocks: Sequence[int], layout: RegisterLayout,
         grover_iterations_used=used,
         success_probability_at_measurement=float(dist[problem.marked].sum()),
         # prepare (n + 2 gates) once per round, plus every iteration
-        total_gates=hashes * (n + 2) + used * problem.gates_per_iteration,
+        total_gates=hashes * (n + 2) + used * gates_per_iteration(layout, header_blocks, hp),
         hashes_tried=hashes,
     )

@@ -79,10 +79,6 @@ class Digest:
                              f"in {self.width} bits")
 
     @property
-    def bits(self) -> str:
-        return format(self.value, f"0{self.width}b")
-
-    @property
     def hex(self) -> str:
         return format(self.value, f"0{(self.width + 3) // 4}x")
 

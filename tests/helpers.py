@@ -241,8 +241,8 @@ def find_header_with_count(nonce_bits: int, params: HashParams, zeros: int,
 def simulated_gates_per_iteration(nonce_bits: int, params: HashParams, zeros: int,
                                   header_blocks=(0, 0, 0, 0)) -> int:
     """Gates one search iteration applies, counted by simulating it on a
-    prepared state (independent of ``SearchProblem.gates_per_iteration``,
-    which counts from the cached gates)."""
+    prepared state (independent of ``gates_per_iteration``, which counts
+    from the builders' structure)."""
     layout = RegisterLayout.standard(nonce_bits, params.digest_bits)
     state = new_zero_state(layout.total_qubits)
     prepare(state, layout)
@@ -417,15 +417,16 @@ def assert_matches_reference(result: MiningResult, reference: MiningResult) -> N
     assert replace(result, success_probability_at_measurement=mass) == reference
 
 
-def reference_run(problem: SearchProblem, b: np.ndarray, iterations: int) -> np.ndarray:
+def reference_run(problem: SearchProblem, layout: RegisterLayout, b: np.ndarray,
+                  iterations: int) -> np.ndarray:
     """Apply ``iterations`` more search iterations to the 2^n amplitudes ``b``
     in place and return the nonce distribution: the negation on the problem's
-    ``marked`` nonces, then the diffusion circuit gate by gate, each H as a
+    ``marked`` nonces, then ``build_diffusion(layout)`` gate by gate, each H as a
     butterfly and each run of X/SWAP/MCX gates as one gather.  It rounds as
     the dense state vector does, bit for bit."""
     nonces = np.arange(len(b))
     steps = []
-    for is_h, run in groupby(problem.diffusion.gates, key=lambda g: g.kind == "H"):
+    for is_h, run in groupby(build_diffusion(layout).gates, key=lambda g: g.kind == "H"):
         run = list(run)  # every gate is self-inverse: gather by the reverse
         if is_h:
             steps += [g.targets[0] for g in run]

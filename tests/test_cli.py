@@ -186,7 +186,7 @@ class TestMineCommand:
     @pytest.mark.parametrize("readout", [[], ["--exact"]], ids=["sampled", "exact"])
     @pytest.mark.parametrize("count", [0, 1, 2])
     def test_dump_does_not_perturb_the_mine(self, tmp_path, capsys, readout, count):
-        # the dump builds its own search problem; the mine must not see it
+        # the dump builds its own circuits; the mine must not see them
         payload, ts, _ = find_cli_header(4, 8, 2, 4, count)
         argv = ["mine", *BASE, "--payload", format(payload, "x"), "--timestamp",
                 str(ts), "--mode", "both", *readout]
@@ -198,6 +198,26 @@ class TestMineCommand:
         plain = run()
         assert run("--dump-circuits", str(tmp_path / "c.txt")) == plain
         assert (tmp_path / "c.txt").read_text().startswith("# hash\n")
+
+    def test_dump_compiles_no_second_search(self, tmp_path, capsys, monkeypatch):
+        # mine and sweep each compile one search, the one they run, and dump
+        # the same circuits from the builders
+        payload, ts, _ = find_cli_header(4, 8, 2, 4, 1)
+        header = ["--payload", format(payload, "x"), "--timestamp", str(ts)]
+        builds, build = [], SearchProblem.build
+
+        def counted(*args):
+            builds.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(SearchProblem, "build", counted)
+        for command, flags in (("mine", ["--mode", "quantum", "--exact"]), ("sweep", [])):
+            builds.clear()
+            assert main([command, *SWEEP_BASE, *header, *flags,
+                         "--dump-circuits", str(tmp_path / f"{command}.txt")]) == EXIT_OK
+            assert len(builds) == 1, command
+        capsys.readouterr()
+        assert (tmp_path / "mine.txt").read_bytes() == (tmp_path / "sweep.txt").read_bytes()
 
     def test_dump_circuits_golden(self, tmp_path, capsys):
         # hash, oracle and diffusion of (4, 8, 2) at zeros 4, frozen byte for byte

@@ -361,9 +361,8 @@ class TestSearchProblem:
     def test_gates_per_iteration_equals_simulated(self, n, m, rounds, zeros,
                                                    true_chi, gates):
         params = HashParams(m, rounds, true_chi)
-        problem = SearchProblem.build([0, 0, 0, 0], RegisterLayout.standard(n, m),
-                                      params, zeros)
-        assert problem.gates_per_iteration == gates
+        layout = RegisterLayout.standard(n, m)
+        assert gates_per_iteration(layout, [0, 0, 0, 0], params) == gates
         assert simulated_gates_per_iteration(n, params, zeros) == gates
 
     @pytest.mark.parametrize("seed", range(4))
@@ -374,9 +373,8 @@ class TestSearchProblem:
         params = HashParams(m, int(rng.integers(1, 4)), bool(rng.integers(2)))
         header = [int(b) for b in rng.integers(0, params.mask + 1, size=4)]
         zeros = int(rng.integers(0, m + 1))
-        problem = SearchProblem.build(header, RegisterLayout.standard(n, m),
-                                      params, zeros)
-        assert problem.gates_per_iteration == simulated_gates_per_iteration(
+        layout = RegisterLayout.standard(n, m)
+        assert gates_per_iteration(layout, header, params) == simulated_gates_per_iteration(
             n, params, zeros, header)
 
 
@@ -545,11 +543,12 @@ class TestNonceAxisEngine:
         reference = state.amplitudes[:1 << n].copy()
         branch = 1 << layout.functional
         optimum = iteration_count(n, max(int(problem.marked.sum()), 1))
+        circuits = (build_hash_circuit(layout, header, params),
+                    build_oracle(layout, zeros), build_diffusion(layout))
         for k in range(2 * max(optimum, 1) + 1):
             if k:
-                grover_iteration(state, layout, problem.hash_circuit,
-                                 problem.oracle, problem.diffusion)
-            reference_dist = reference_run(problem, reference, 1 if k else 0)
+                grover_iteration(state, layout, *circuits)
+            reference_dist = reference_run(problem, layout, reference, 1 if k else 0)
             assert np.array_equal(reference, state.amplitudes[:1 << n])
             assert np.array_equal(-reference, state.amplitudes[branch:branch + (1 << n)])
             assert np.array_equal(reference_dist,
@@ -653,8 +652,8 @@ class TestNonceAxisEngine:
         # every build owns its gate lists
         n, m, zeros = 4, 8, 3
         layout = RegisterLayout.standard(n, m)
-        first = SearchProblem.build([0x51, 0x3B], layout, HP82, zeros)
-        for circuit in (first.hash_circuit, first.oracle, first.diffusion):
+        for circuit in (build_hash_circuit(layout, [0x51, 0x3B], HP82),
+                        build_oracle(layout, zeros), build_diffusion(layout)):
             circuit.gates.reverse()
             circuit.gates.append(Gate.x(0))
 
@@ -662,9 +661,9 @@ class TestNonceAxisEngine:
         problem = SearchProblem.build(header, layout, HP82, zeros)
         hash_circuit = reference_hash_circuit(layout, header, HP82)
         oracle, diffusion = build_oracle(layout, zeros), build_diffusion(layout)
-        for built, reference in ((problem.hash_circuit, hash_circuit),
-                                 (problem.oracle, oracle),
-                                 (problem.diffusion, diffusion)):
+        for built, reference in ((build_hash_circuit(layout, header, HP82), hash_circuit),
+                                 (build_oracle(layout, zeros), oracle),
+                                 (build_diffusion(layout), diffusion)):
             assert (built.num_qubits, built.label) == (reference.num_qubits,
                                                        reference.label)
             assert format_circuit(built) == format_circuit(reference)
@@ -676,7 +675,7 @@ class TestNonceAxisEngine:
         reference = state.amplitudes[:1 << n].copy()
         for k in range(1, 4):
             grover_iteration(state, layout, hash_circuit, oracle, diffusion)
-            reference_dist = reference_run(problem, reference, 1)
+            reference_dist = reference_run(problem, layout, reference, 1)
             assert np.array_equal(reference, state.amplitudes[:1 << n])
             assert np.array_equal(reference_dist,
                                   state.register_distribution(layout.nonce))
@@ -706,8 +705,8 @@ class TestNonceAxisEngine:
         problem = SearchProblem.build(header, layout, HP82, zeros)
         state = new_zero_state(layout.total_qubits)
         prepare(state, layout)
-        for circuit in (problem.hash_circuit, problem.oracle,
-                        invert(problem.hash_circuit)):
+        hash_circuit = build_hash_circuit(layout, header, HP82)
+        for circuit in (hash_circuit, build_oracle(layout, zeros), invert(hash_circuit)):
             apply_circuit(state, circuit)
         assert np.array_equal(problem.marked, state.amplitudes[:1 << n].real < 0)
         solutions = np.zeros(1 << n, dtype=bool)
@@ -824,21 +823,20 @@ class TestFusedCompile:
     @pytest.mark.parametrize("rounds", range(1, 9))
     @pytest.mark.parametrize("true_chi", [False, True])
     def test_gates_per_iteration_counts_the_lazy_circuits(self, m, rounds, true_chi):
-        # the closed-form count equals the lengths of the circuits built on
-        # first use, for random headers of 0-4 blocks
+        # the closed-form count equals the lengths of the circuits the
+        # builders return, for random headers of 0-4 blocks
         params = HashParams(m, rounds, true_chi)
         rng = np.random.default_rng([m, rounds, true_chi])
         for size in range(5):
             n = int(rng.integers(1, m + 1))
             header = [int(b) for b in rng.integers(0, params.mask + 1, size=size)]
             layout = RegisterLayout.standard(n, m)
-            problem = SearchProblem.build(header, layout, params,
-                                          int(rng.integers(0, m + 1)))
-            assert hash_gate_count(n, header, params) == len(problem.hash_circuit)
-            assert gates_per_iteration(layout, header, params) == problem.gates_per_iteration
-            assert problem.gates_per_iteration == sum(
-                len(c) for c in (problem.hash_circuit, problem.oracle,
-                                 invert(problem.hash_circuit), problem.diffusion))
+            zeros = int(rng.integers(0, m + 1))
+            hash_circuit = build_hash_circuit(layout, header, params)
+            assert hash_gate_count(n, header, params) == len(hash_circuit)
+            assert gates_per_iteration(layout, header, params) == sum(
+                len(c) for c in (hash_circuit, build_oracle(layout, zeros),
+                                 invert(hash_circuit), build_diffusion(layout)))
 
 
 class TestSampledReadout:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qmine import (CapacityError, Circuit, Gate, HashParams, RegisterLayout,
-                   SearchProblem, assignment_for, invert, new_zero_state, prepare)
+                   assignment_for, build_hash_circuit, invert, new_zero_state, prepare)
 from qmine.statevector import permute_labels
 from helpers import (dense_apply_gates, dense_register_distribution,
                      random_amplitudes, random_circuit, reference_permute_labels,
@@ -319,8 +319,6 @@ class TestDenseReference:
     @pytest.mark.parametrize("start", ["prepared", "partial"])
     def test_search_problem_hash_and_inverse(self, start):
         layout = RegisterLayout.standard(4, 12)
-        problem = SearchProblem.build([0x5A3, 0x0F1, 0xC2E, 0x777], layout,
-                                      HashParams(12, 2), 4)
 
         def start_state():
             if start == "partial":
@@ -331,7 +329,9 @@ class TestDenseReference:
             return s
 
         fast, ref = start_state(), start_state()
-        for circuit in (problem.hash_circuit, invert(problem.hash_circuit)):
+        hash_circuit = build_hash_circuit(layout, [0x5A3, 0x0F1, 0xC2E, 0x777],
+                                          HashParams(12, 2))
+        for circuit in (hash_circuit, invert(hash_circuit)):
             self.assert_same_run(fast, ref, circuit.gates)
 
     @pytest.mark.parametrize("start", ["basis", "random", "partial"])
