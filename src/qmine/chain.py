@@ -17,8 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from .miner import MiningParams, MiningResult, header_prefix
-from .toyhash import (Digest, HashParams, absorb, check_block, has_leading_zeros,
-                      hash_classical, hash_many)
+from .toyhash import (Digest, HashParams, absorb, check_block, check_zeros,
+                      has_leading_zeros, hash_classical, hash_many, hex_digits)
 
 CHAIN_FORMAT_VERSION = "qmine-chain/1"
 SCAN_CHUNK = 256  # nonces mine_classical hashes per hash_many call
@@ -69,8 +69,7 @@ def serialize_header(header: BlockHeader, params: HashParams) -> list[int]:
             raise ValueError(f"{name} {value:#x} does not fit in {m} bits")
     if header.timestamp < 0:
         raise ValueError("timestamp must be non-negative")
-    if not 0 <= header.difficulty_zeros <= m:
-        raise ValueError(f"difficulty_zeros must be in 0..{m}")
+    check_zeros(header.difficulty_zeros, m)
     return [header.prev_digest,
             header.payload_digest,
             header.timestamp & params.mask,
@@ -116,7 +115,8 @@ def compute_required_zeros(nonce_bits: int, digest_bits: int) -> int:
     nonce set equal 1/2: solving 2^x / 2^(m-n) = 1/2 gives solution
     exponent x = m-n-1, hence z = m-x = n+1."""
     if nonce_bits >= digest_bits:
-        raise ValueError("nonce register must be narrower than the digest")
+        raise ValueError(f"the automatic difficulty of n+1 = {nonce_bits + 1} zeros "
+                         f"does not fit the {digest_bits}-bit digest")
     return nonce_bits + 1
 
 
@@ -198,13 +198,9 @@ class Chain:
         return report
 
 
-def _hex_width(bits: int) -> int:
-    return (bits + 3) // 4
-
-
 def save_chain(chain: Chain, path: str | Path) -> None:
     m = chain.hash_params.digest_bits
-    w = _hex_width(m)
+    w = hex_digits(m)
     payload = {
         "version": CHAIN_FORMAT_VERSION,
         "hash_params": {

@@ -25,7 +25,7 @@ from .miner import (MiningParams, MiningResult, RegisterLayout, SearchProblem,
                     analytic_success_probability, build_diffusion, build_oracle,
                     enumerate_solutions, estimate_resources, gates_per_iteration,
                     iteration_count, mine_quantum)
-from .toyhash import HashParams, build_hash_circuit
+from .toyhash import HashParams, build_hash_circuit, check_nonce_width, hex_digits
 
 EXIT_OK = 0
 EXIT_INVALID_CHAIN = 1
@@ -173,19 +173,17 @@ def _resolve(args: argparse.Namespace, options: Sequence[tuple], config: dict) -
             raise ValueError(f"invalid value for {name}: {value!r}") from None
 
 
-def _hash_params(cfg: argparse.Namespace) -> HashParams:
-    return HashParams(cfg.m, cfg.rounds, cfg.true_chi)
-
-
 def _resolve_run_config(args: argparse.Namespace,
                         options: Sequence[tuple]) -> argparse.Namespace:
     _resolve(args, options, _read_config(args))
+    args.hash_params = HashParams(args.m, args.rounds, args.true_chi)
+    check_nonce_width(args.n, args.hash_params)  # before a register of n qubits is built
+    args.layout = RegisterLayout.standard(args.n, args.m)
     if args.auto_zeros or args.zeros == "auto":
-        args.zeros = compute_required_zeros(args.n, args.m)
-    if args.n < 1:
-        raise ValueError("n must be >= 1")
-    if args.n > args.m:
-        raise ValueError(f"nonce bits ({args.n}) must not exceed hash bits ({args.m})")
+        try:
+            args.zeros = compute_required_zeros(args.n, args.m)
+        except ValueError as exc:
+            raise ValueError(f"{exc}: give --zeros") from None
     return args
 
 
@@ -234,7 +232,7 @@ def _header(cfg: argparse.Namespace, prev: int) -> BlockHeader:
 def cmd_mine(cfg: argparse.Namespace) -> int:
     if cfg.mode not in ("classical", "quantum", "both"):
         raise ValueError(f"mode must be classical, quantum or both, got {cfg.mode!r}")
-    hp = _hash_params(cfg)
+    hp = cfg.hash_params
     chain = None
     prev = cfg.prev
     if cfg.chain_file and Path(cfg.chain_file).exists():
@@ -256,10 +254,9 @@ def cmd_mine(cfg: argparse.Namespace) -> int:
     if cfg.mode in ("classical", "both"):
         results["classical"] = mine_classical(blocks, params, cfg.n)
     if cfg.mode in ("quantum", "both"):
-        layout = RegisterLayout.standard(cfg.n, cfg.m)
         if cfg.dump_circuits:
-            _dump_circuits(cfg.dump_circuits, layout, blocks, hp, cfg.zeros)
-        results["quantum"] = mine_quantum(blocks, layout, params, exact_readout=cfg.exact)
+            _dump_circuits(cfg.dump_circuits, cfg.layout, blocks, hp, cfg.zeros)
+        results["quantum"] = mine_quantum(blocks, cfg.layout, params, exact_readout=cfg.exact)
 
     print(f"difficulty: top {cfg.zeros} of {cfg.m} digest bits must be zero "
           f"(nonce space 2^{cfg.n})")
@@ -304,7 +301,7 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
     k_max = cfg.k_max
     if k_max is not None and k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
-    hp = _hash_params(cfg)
+    hp = cfg.hash_params
     blocks = serialize_header(_header(cfg, cfg.prev), hp)
     solutions = enumerate_solutions(blocks, hp, cfg.n, cfg.zeros)
     count = len(solutions)
@@ -314,10 +311,9 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
     if k_max is None:
         k_max = iteration_count(cfg.n, count)
 
-    layout = RegisterLayout.standard(cfg.n, cfg.m)
-    problem = SearchProblem.build(blocks, layout, hp, cfg.zeros)
+    problem = SearchProblem.build(blocks, cfg.layout, hp, cfg.zeros)
     if cfg.dump_circuits:
-        _dump_circuits(cfg.dump_circuits, layout, blocks, hp, cfg.zeros)
+        _dump_circuits(cfg.dump_circuits, cfg.layout, blocks, hp, cfg.zeros)
 
     rows = []
     for k in range(k_max + 1):  # each k takes one step of the recurrence
@@ -333,11 +329,16 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
 
 def cmd_estimate(args: argparse.Namespace) -> int:
     config = _read_config(args)
+    gates_given = args.gates_per_iteration is not None or "gates_per_iteration" in config
     _resolve(args, ESTIMATE_OPTIONS, config)
     source = "assumed"
     if args.measured:
+        if gates_given:
+            raise ValueError("gates_per_iteration and measured exclude each other: "
+                             "--measured counts the gates itself")
         _resolve(args, DESK_OPTIONS, config)
         hp = HashParams(args.m, args.rounds)
+        check_nonce_width(args.measure_n, hp)
         layout = RegisterLayout.standard(args.measure_n, hp.digest_bits)
         args.gates_per_iteration = gates_per_iteration(layout, [0, 0, 0, 0], hp)
         source = f"measured at n={args.measure_n} m={hp.digest_bits} rounds={hp.rounds}"
@@ -375,8 +376,8 @@ def cmd_chain_show(path: str) -> int:
     print(f"chain: {len(chain.blocks)} block(s), digest_bits={hp.digest_bits} "
           f"rounds={hp.rounds} nonce_bits={chain.nonce_bits}")
     print("index prev     digest   zeros nonce timestamp")
+    w = hex_digits(hp.digest_bits)
     for i, b in enumerate(chain.blocks):
-        w = (hp.digest_bits + 3) // 4
         print(f"{i:<5d} {b.header.prev_digest:0{w}x}{'':<{9 - w}}"
               f"{b.digest.hex:<9}{b.header.difficulty_zeros:<6d}"
               f"{b.header.nonce:<6d}{b.header.timestamp}")

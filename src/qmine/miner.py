@@ -39,8 +39,9 @@ MAX_ESTIMATE_BITS = 1023  # the estimator's counts must convert to finite floats
 class RegisterLayout:
     """Qubit indices for the four register parts.
 
-    The global order is fixed for reproducibility: nonce at 0..n-1, hash
-    next, then service, functional last.
+    The nonce and hash registers are non-empty, and the global order is
+    fixed for reproducibility: nonce at 0..n-1, hash next, then service,
+    functional last.
     """
 
     nonce: tuple[int, ...]
@@ -49,26 +50,18 @@ class RegisterLayout:
     functional: int
 
     def __post_init__(self):
-        n, m, s = len(self.nonce), len(self.hash), len(self.service)
-        expected = (tuple(range(n)),
-                    tuple(range(n, n + m)),
-                    tuple(range(n + m, n + m + s)),
-                    n + m + s)
-        if (self.nonce, self.hash, self.service, self.functional) != expected:
+        if not self.nonce or not self.hash:
+            raise ValueError("nonce and hash registers must be non-empty")
+        qubits = self.nonce + self.hash + self.service + (self.functional,)
+        if qubits != tuple(range(len(qubits))):
             raise ValueError("layout must follow the fixed order "
                              "nonce|hash|service|functional from qubit 0")
 
     @staticmethod
     def standard(nonce_bits: int, digest_bits: int, service_bits: int = 0) -> "RegisterLayout":
-        if nonce_bits < 1 or digest_bits < 1:
-            raise ValueError("nonce and hash registers must be non-empty")
         n, m, s = nonce_bits, digest_bits, service_bits
-        return RegisterLayout(
-            nonce=tuple(range(n)),
-            hash=tuple(range(n, n + m)),
-            service=tuple(range(n + m, n + m + s)),
-            functional=n + m + s,
-        )
+        return RegisterLayout(tuple(range(n)), tuple(range(n, n + m)),
+                              tuple(range(n + m, n + m + s)), n + m + s)
 
     @property
     def total_qubits(self) -> int:
@@ -84,10 +77,7 @@ class MiningParams:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not 0 <= self.difficulty_zeros <= self.hash_params.digest_bits:
-            raise ValueError(f"difficulty_zeros must be in 0.."
-                             f"{self.hash_params.digest_bits}, "
-                             f"got {self.difficulty_zeros}")
+        check_zeros(self.difficulty_zeros, self.hash_params.digest_bits)
         if self.max_grover_rounds < 1:
             raise ValueError("max_grover_rounds must be >= 1")
         if self.solution_count_hint is not None and self.solution_count_hint < 1:
@@ -141,8 +131,6 @@ def build_diffusion(layout: RegisterLayout) -> Circuit:
     amplitudes."""
     nonce = layout.nonce
     n = len(nonce)
-    if n == 0:
-        raise ValueError("diffusion needs a non-empty nonce register")
     circuit = Circuit(layout.total_qubits, label="diffusion")
     for q in nonce:
         circuit.append(Gate.h(q))
@@ -291,14 +279,20 @@ def _register_table(gates: Sequence[Gate], register: Sequence[int]) -> np.ndarra
 # -- schedules and analysis ------------------------------------------------------
 
 
-def iteration_count(nonce_bits: int, solution_count: int) -> int:
-    """Iterations for the best success probability with ``solution_count``
-    marked values: floor(pi/4 * sqrt(2^n / M)), at least 1, except 0 when
-    every value is marked."""
+def _solution_space(nonce_bits: int, solution_count: int) -> int:
+    """2^n, once ``solution_count`` is a count of marked values in it."""
     space = 1 << nonce_bits
     if not 1 <= solution_count <= space:
         raise ValueError(f"solution_count must be in 1..{space}, "
                          f"got {solution_count}")
+    return space
+
+
+def iteration_count(nonce_bits: int, solution_count: int) -> int:
+    """Iterations for the best success probability with ``solution_count``
+    marked values: floor(pi/4 * sqrt(2^n / M)), at least 1, except 0 when
+    every value is marked."""
+    space = _solution_space(nonce_bits, solution_count)
     if solution_count == space:
         return 0
     k = math.floor(math.pi / 4 * math.sqrt(space / solution_count))
@@ -308,10 +302,7 @@ def iteration_count(nonce_bits: int, solution_count: int) -> int:
 def analytic_success_probability(nonce_bits: int, solution_count: int,
                                  iterations: int) -> float:
     """Closed-form success probability sin^2((2k+1) * asin(sqrt(M/2^n)))."""
-    space = 1 << nonce_bits
-    if not 1 <= solution_count <= space:
-        raise ValueError(f"solution_count must be in 1..{space}, "
-                         f"got {solution_count}")
+    space = _solution_space(nonce_bits, solution_count)
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
     theta = math.asin(math.sqrt(solution_count / space))

@@ -80,10 +80,15 @@ class Digest:
 
     @property
     def hex(self) -> str:
-        return format(self.value, f"0{(self.width + 3) // 4}x")
+        return format(self.value, f"0{hex_digits(self.width)}x")
 
     def meets_difficulty(self, zeros: int) -> bool:
         return has_leading_zeros(self.value, self.width, zeros)
+
+
+def hex_digits(bits: int) -> int:
+    """Hex digits that print every value of a bits-bit field."""
+    return (bits + 3) // 4
 
 
 def has_leading_zeros(value, width: int, zeros: int):
@@ -196,13 +201,18 @@ def _emit_round(circuit: Circuit, hash_qubits: Sequence[int], round_index: int,
             circuit.append(Gate.x(hash_qubits[i]))
 
 
+def check_nonce_width(nonce_bits: int, params: HashParams) -> None:
+    """Refuse a nonce wider than one sponge block, before its register is built."""
+    if nonce_bits > params.digest_bits:
+        raise ValueError(f"nonce register ({nonce_bits} qubits) must embed "
+                         f"into one {params.digest_bits}-bit block")
+
+
 def _check_layout(layout: "RegisterLayout", params: HashParams) -> None:
     if len(layout.hash) != params.digest_bits:
         raise ValueError(f"layout hash register has {len(layout.hash)} qubits, "
                          f"params need {params.digest_bits}")
-    if len(layout.nonce) > params.digest_bits:
-        raise ValueError(f"nonce register ({len(layout.nonce)} qubits) must embed "
-                         f"into one {params.digest_bits}-bit block")
+    check_nonce_width(len(layout.nonce), params)
 
 
 @lru_cache(maxsize=8)

@@ -148,8 +148,11 @@ class TestComputeRequiredZeros:
         assert compute_required_zeros(n, m) == n + 1
 
     def test_nonce_must_be_narrower(self):
-        with pytest.raises(ValueError):
+        # the library names the rule only; the CLI adds its --zeros hint
+        with pytest.raises(ValueError) as exc_info:
             compute_required_zeros(8, 8)
+        assert str(exc_info.value) == ("the automatic difficulty of n+1 = 9 zeros "
+                                       "does not fit the 8-bit digest")
 
 
 def mined_block(prev, payload, timestamp, zeros, nonce_bits=4):

@@ -53,6 +53,10 @@ def valid_chain(length=2):
 DATA = Path(__file__).parent / "data"
 SWEEP_BASE = ["--n", "4", "--m", "8", "--rounds", "2", "--zeros", "4"]
 BASE = [*SWEEP_BASE, "--seed", "1"]
+GOLDEN_CHAIN_SHOW = ("chain: 2 block(s), digest_bits=8 rounds=2 nonce_bits=4\n"
+                     "index prev     digest   zeros nonce timestamp\n"
+                     "0     00       1b       1     1     7\n"
+                     "1     1b       29       1     0     8\n")
 
 
 class TestMineCommand:
@@ -80,7 +84,8 @@ class TestMineCommand:
     def test_nonce_wider_than_hash_exits_2(self, capsys):
         code = main(["mine", "--n", "9", "--m", "8", "--zeros", "4"])
         assert code == EXIT_USAGE
-        assert "must not exceed" in capsys.readouterr().err
+        assert "nonce register (9 qubits) must embed into one 8-bit block" in \
+            capsys.readouterr().err
 
     def test_quantum_mine_past_the_state_vector_cap(self, capsys):
         # 33 qubits: mining keeps 2^16 amplitudes, never the 2^33-entry state
@@ -117,6 +122,22 @@ class TestMineCommand:
         (tmp_path / "chain.json").write_text(broken)
         assert main(["chain", "validate",
                      "--chain-file", chain_file]) == EXIT_INVALID_CHAIN
+
+    def test_chain_show_golden(self, capsys):
+        assert main(["chain", "show", "--chain-file",
+                     str(DATA / "golden_chain.json")]) == EXIT_OK
+        assert capsys.readouterr().out == GOLDEN_CHAIN_SHOW
+
+    def test_chain_show_wide_genesis_prev(self, tmp_path, capsys):
+        # a prev_digest wider than the digest is shown in full, not cut to
+        # the digest's two hex digits
+        payload = json.loads((DATA / "golden_chain.json").read_text())
+        payload["blocks"][0]["prev_digest"] = "1ffff"
+        chain_file = tmp_path / "chain.json"
+        chain_file.write_text(json.dumps(payload))
+        assert main(["chain", "show", "--chain-file", str(chain_file)]) == EXIT_OK
+        assert capsys.readouterr().out == GOLDEN_CHAIN_SHOW.replace(
+            "0     00       1b", "0     1ffff       1b")
 
     @pytest.mark.parametrize("nonce", ["10", "fff", "-3"])
     def test_out_of_range_nonce_is_one_invalid_block(self, tmp_path, capsys, nonce):
@@ -448,6 +469,44 @@ class TestMalformedInput:
         assert main(["estimate", "--measured", *flags]) == EXIT_USAGE
         assert capsys.readouterr() == ("", f"error: {text}\n")
 
+    @pytest.mark.parametrize("flags, text", [
+        (["--n", "0"], "nonce and hash registers must be non-empty"),
+        (["--n", "9", "--m", "8"], "nonce register (9 qubits) must embed into one 8-bit block"),
+        (["--zeros", "9", "--m", "8"], "zeros must be in 0..8, got 9"),
+    ], ids=["n-0", "n-above-m", "zeros-above-m"])
+    def test_one_message_per_input_rule(self, capsys, flags, text):
+        # each rule has one owner, so every command that checks it says the same
+        argvs = [["mine", *flags], ["sweep", *flags]]
+        if "--zeros" not in flags:  # estimate takes no difficulty
+            argvs.append(["estimate", "--measured",
+                          *("--measure-n" if f == "--n" else f for f in flags)])
+        for argv in argvs:
+            assert main(argv) == EXIT_USAGE
+            assert capsys.readouterr() == ("", f"error: {text}\n")
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["mine"], "--n"), (["sweep"], "--n"), (["estimate", "--measured"], "--measure-n"),
+    ], ids=["mine", "sweep", "estimate-measured"])
+    def test_wide_nonce_refused_before_its_register_is_built(self, monkeypatch, capsys,
+                                                             argv, flag):
+        # a register of 10^10 qubits does not fit in memory: the width alone is checked
+        def refuse(nonce_bits, *args):
+            raise AssertionError(f"built a {nonce_bits}-qubit nonce register")
+
+        monkeypatch.setattr(RegisterLayout, "standard", staticmethod(refuse))
+        assert main([*argv, flag, "10000000000", "--m", "8"]) == EXIT_USAGE
+        assert capsys.readouterr() == (
+            "", "error: nonce register (10000000000 qubits) must embed into one "
+                "8-bit block\n")
+
+    @pytest.mark.parametrize("command", ["mine", "sweep"])
+    def test_automatic_difficulty_wider_than_the_digest(self, capsys, command):
+        # n = m is a valid register, but its n+1 zeros need --zeros
+        assert main([command, "--n", "16", "--m", "16"]) == EXIT_USAGE
+        assert capsys.readouterr() == (
+            "", "error: the automatic difficulty of n+1 = 17 zeros does not fit "
+                "the 16-bit digest: give --zeros\n")
+
     @pytest.mark.parametrize("flags", [["--zeros", "5"], ["--true-chi"]])
     def test_estimate_takes_no_difficulty_flag(self, capsys, flags):
         # the count reads n, m and rounds only
@@ -723,6 +782,22 @@ class TestEstimateCommand:
         monkeypatch.setattr(SearchProblem, "build", refuse)
         assert main(["estimate", "--measured", *flags]) == EXIT_OK
         assert f"gates_per_iteration={gates} (measured" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flags, config", [
+        (["--measured", "--gates-per-iteration", "152"], None),
+        (["--measured"], {"gates_per_iteration": 152}),
+        (["--gates-per-iteration", "152"], {"measured": True}),
+    ], ids=["flags", "config-gates", "config-measured"])
+    def test_measured_refuses_given_gates(self, tmp_path, capsys, flags, config):
+        # a given count is not dropped in favour of the measured one
+        argv = ["estimate", *flags]
+        if config is not None:
+            (tmp_path / "run.json").write_text(json.dumps(config))
+            argv += ["--config", str(tmp_path / "run.json")]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr() == (
+            "", "error: gates_per_iteration and measured exclude each other: "
+                "--measured counts the gates itself\n")
 
     def test_measured_mode_beyond_the_qubit_cap(self, capsys):
         # 16 + 16 + 1 = 33 qubits: counted from the builders, never simulated

@@ -58,6 +58,15 @@ class TestRegisterLayout:
         with pytest.raises(ValueError):
             RegisterLayout.standard(0, 4)
 
+    @pytest.mark.parametrize("nonce, hash_qubits", [((), (0, 1, 2, 3)), ((0,), ())],
+                             ids=["empty-nonce", "empty-hash"])
+    def test_empty_register_rejected_when_built_directly(self, nonce, hash_qubits):
+        # the fixed order alone holds for these: the constructor, not
+        # standard, refuses them
+        functional = len(nonce) + len(hash_qubits)
+        with pytest.raises(ValueError, match="^nonce and hash registers must be non-empty$"):
+            RegisterLayout(nonce=nonce, hash=hash_qubits, service=(), functional=functional)
+
 
 class TestMiningParams:
     def test_difficulty_bounded_by_digest(self):
@@ -186,9 +195,9 @@ class TestDiffusion:
         assert max_global_phase_deviation(before, state.amplitudes) < 1e-12
 
     def test_empty_nonce_rejected(self):
-        layout = RegisterLayout(nonce=(), hash=(0, 1), service=(), functional=2)
-        with pytest.raises(ValueError):
-            build_diffusion(layout)
+        # no empty-nonce layout exists to build a diffusion on
+        with pytest.raises(ValueError, match="nonce and hash registers must be non-empty"):
+            build_diffusion(RegisterLayout(nonce=(), hash=(0, 1), service=(), functional=2))
 
 
 class TestGroverIteration:
