@@ -1,8 +1,7 @@
 """Grover-search proof-of-work mining on a simulated quantum register."""
 
 from .chain import (Block, BlockHeader, Chain, compute_required_zeros,
-                    load_chain, mine_classical, save_chain, serialize_header,
-                    validate_block, validate_chain)
+                    load_chain, mine_classical, save_chain, serialize_header)
 from .circuit import (Circuit, Gate, apply_circuit, emit_and_into, emit_not,
                       emit_rotate_left, emit_xor_into, format_circuit, invert)
 from .miner import (MiningParams, MiningResult, RegisterLayout, ResourceEstimate,
@@ -30,5 +29,4 @@ __all__ = [
     "has_leading_zeros", "hash_classical", "invert", "iteration_count",
     "load_chain", "mine_classical", "mine_quantum", "new_zero_state", "permute",
     "prepare", "round_constant", "save_chain", "serialize_header",
-    "validate_block", "validate_chain",
 ]

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .miner import MiningParams, MiningResult, header_prefix
-from .toyhash import (Digest, HashParams, absorb, check_block, check_zeros,
+from .toyhash import (Digest, HashParams, absorb, check_nonce_width, check_zeros,
                       has_leading_zeros, hash_classical, hash_many, hex_digits)
 
 CHAIN_FORMAT_VERSION = "qmine-chain/1"
@@ -86,21 +86,18 @@ def mine_classical(header_blocks: Sequence[int], params: MiningParams,
     digest clears the difficulty; ties against the quantum miner are
     broken toward the smallest nonce by construction.  ``hash_many`` hashes
     ``SCAN_CHUNK`` nonces per call, but ``hashes_tried`` counts up to the
-    first solution and nonce 2^m raises only if no smaller nonce solves."""
+    first solution."""
     hp = params.hash_params
+    space = 1 << check_nonce_width(nonce_bits, hp.digest_bits)
     prefix = header_prefix(header_blocks, hp)
-    space = 1 << nonce_bits
-    fits = min(space, hp.mask + 1)
-    for start in range(0, fits, SCAN_CHUNK):
-        digests = hash_many(prefix, np.arange(start, min(start + SCAN_CHUNK, fits)), hp)
+    for start in range(0, space, SCAN_CHUNK):
+        digests = hash_many(prefix, np.arange(start, min(start + SCAN_CHUNK, space)), hp)
         solved = np.flatnonzero(has_leading_zeros(digests, hp.digest_bits,
                                                   params.difficulty_zeros))
         if solved.size:
             value, digest = start + int(solved[0]), digests[solved[0]]
             break
     else:
-        if fits < space:
-            check_block(fits, hp)  # nonce 2^m, the first that does not fit
         value, digest = space - 1, digests[-1]
     success = bool(solved.size)
     return MiningResult(
@@ -114,7 +111,8 @@ def compute_required_zeros(nonce_bits: int, digest_bits: int) -> int:
     """Leading zeros that make the expected solution count within one
     nonce set equal 1/2: solving 2^x / 2^(m-n) = 1/2 gives solution
     exponent x = m-n-1, hence z = m-x = n+1."""
-    if nonce_bits >= digest_bits:
+    check_nonce_width(nonce_bits, digest_bits)
+    if nonce_bits == digest_bits:
         raise ValueError(f"the automatic difficulty of n+1 = {nonce_bits + 1} zeros "
                          f"does not fit the {digest_bits}-bit digest")
     return nonce_bits + 1
@@ -123,38 +121,20 @@ def compute_required_zeros(nonce_bits: int, digest_bits: int) -> int:
 # -- validation ------------------------------------------------------------------
 
 
-def validate_block(block: Block, params: HashParams) -> ValidationReport:
-    """``validate_chain``'s checks of one block, without the link."""
-    return ValidationReport(_block_reasons([block], params)[0])
-
-
-def validate_chain(blocks: Sequence[Block], params: HashParams) -> ValidationReport:
-    """Each block's digest and difficulty, then its link to the block before."""
-    report = ValidationReport()
-    for i, (block, reasons) in enumerate(zip(blocks, _block_reasons(blocks, params))):
-        report.reasons.extend(f"block {i}: {r}" for r in reasons)
-        if i == 0:
-            if block.header.prev_digest != 0:
-                report.reasons.append(f"block 0: {REASON_GENESIS_PREV}")
-        elif block.header.prev_digest != blocks[i - 1].digest.value:
-            report.reasons.append(f"block {i}: {REASON_PREV_LINK}")
-    return report
-
-
-def _block_reasons(blocks: Sequence[Block], params: HashParams) -> list[list[str]]:
+def _block_reasons(blocks: Sequence[Block], params: HashParams,
+                   nonce_bits: int) -> list[list[str]]:
     """Each block's digest and difficulty reasons.  A header field that
-    ``serialize_header`` rejects, or a nonce that does not fit one sponge
-    block, is reported as out of range and the header is not hashed; the
-    headers that pass are hashed together, one ``absorb`` over their five
-    columns."""
-    reasons, rows, hashed = [], [], []
+    ``serialize_header`` rejects, or a nonce outside 0..2^nonce_bits - 1, is
+    reported as out of range and the header is not hashed; the headers that
+    pass are hashed together, one ``absorb`` over their five columns."""
+    reasons, rows, hashed, space = [], [], [], 1 << nonce_bits
     for i, block in enumerate(blocks):
         header, found = block.header, []
         try:
             row = serialize_header(header, params) + [header.nonce]
         except ValueError:
             found.append(REASON_HEADER_RANGE)
-        if not 0 <= header.nonce <= params.mask:
+        if not 0 <= header.nonce < space:
             found.append(REASON_NONCE_RANGE)
         elif not found:
             rows.append(row)
@@ -182,6 +162,9 @@ class Chain:
     nonce_bits: int
     blocks: list[Block] = field(default_factory=list)
 
+    def __post_init__(self):
+        check_nonce_width(self.nonce_bits, self.hash_params.digest_bits)
+
     def tip_digest(self) -> int:
         return self.blocks[-1].digest.value if self.blocks else 0
 
@@ -189,12 +172,17 @@ class Chain:
         self.blocks.append(block)
 
     def validate(self) -> ValidationReport:
-        """``validate_chain``, plus the nonces that fit a block but not
-        ``nonce_bits``: every out-of-range nonce is reported once."""
-        report = validate_chain(self.blocks, self.hash_params)
-        for i, block in enumerate(self.blocks):
-            if 1 << self.nonce_bits <= block.header.nonce <= self.hash_params.mask:
-                report.reasons.append(f"block {i}: {REASON_NONCE_RANGE}")
+        """Block by block, each block's range, digest and difficulty
+        reasons, then its link to the block before."""
+        blocks, report = self.blocks, ValidationReport()
+        for i, (block, reasons) in enumerate(
+                zip(blocks, _block_reasons(blocks, self.hash_params, self.nonce_bits))):
+            report.reasons.extend(f"block {i}: {r}" for r in reasons)
+            if i == 0:
+                if block.header.prev_digest != 0:
+                    report.reasons.append(f"block 0: {REASON_GENESIS_PREV}")
+            elif block.header.prev_digest != blocks[i - 1].digest.value:
+                report.reasons.append(f"block {i}: {REASON_PREV_LINK}")
         return report
 
 
@@ -275,6 +263,4 @@ def load_chain(path: str | Path) -> Chain:
             blocks.append(Block(header, Digest(int(entry["digest"], 16), hp.digest_bits)))
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed chain file {path}: {exc!r}") from None
-    if not 1 <= nonce_bits <= hp.digest_bits:
-        raise ValueError(f"nonce_bits must be in 1..{hp.digest_bits}, got {nonce_bits}")
     return Chain(hash_params=hp, nonce_bits=nonce_bits, blocks=blocks)

@@ -25,7 +25,7 @@ from .miner import (MiningParams, MiningResult, RegisterLayout, SearchProblem,
                     analytic_success_probability, build_diffusion, build_oracle,
                     enumerate_solutions, estimate_resources, gates_per_iteration,
                     iteration_count, mine_quantum)
-from .toyhash import HashParams, build_hash_circuit, check_nonce_width, hex_digits
+from .toyhash import HashParams, build_hash_circuit, hex_digits
 
 EXIT_OK = 0
 EXIT_INVALID_CHAIN = 1
@@ -177,7 +177,6 @@ def _resolve_run_config(args: argparse.Namespace,
                         options: Sequence[tuple]) -> argparse.Namespace:
     _resolve(args, options, _read_config(args))
     args.hash_params = HashParams(args.m, args.rounds, args.true_chi)
-    check_nonce_width(args.n, args.hash_params)  # before a register of n qubits is built
     args.layout = RegisterLayout.standard(args.n, args.m)
     if args.auto_zeros or args.zeros == "auto":
         try:
@@ -338,7 +337,6 @@ def cmd_estimate(args: argparse.Namespace) -> int:
                              "--measured counts the gates itself")
         _resolve(args, DESK_OPTIONS, config)
         hp = HashParams(args.m, args.rounds)
-        check_nonce_width(args.measure_n, hp)
         layout = RegisterLayout.standard(args.measure_n, hp.digest_bits)
         args.gates_per_iteration = gates_per_iteration(layout, [0, 0, 0, 0], hp)
         source = f"measured at n={args.measure_n} m={hp.digest_bits} rounds={hp.rounds}"
@@ -378,8 +376,8 @@ def cmd_chain_show(path: str) -> int:
     print("index prev     digest   zeros nonce timestamp")
     w = hex_digits(hp.digest_bits)
     for i, b in enumerate(chain.blocks):
-        print(f"{i:<5d} {b.header.prev_digest:0{w}x}{'':<{9 - w}}"
-              f"{b.digest.hex:<9}{b.header.difficulty_zeros:<6d}"
+        prev = format(b.header.prev_digest, f"0{w}x")
+        print(f"{i:<5d} {prev:<9}{b.digest.hex:<9}{b.header.difficulty_zeros:<6d}"
               f"{b.header.nonce:<6d}{b.header.timestamp}")
     return EXIT_OK
 

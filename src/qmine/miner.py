@@ -27,9 +27,9 @@ from .circuit import Circuit, Gate, apply_circuit, invert
 # wrap miner.new_zero_state and miner.build_hash_circuit
 from .statevector import StateVector, new_zero_state, permute_labels
 from .toyhash import (Digest, HashParams, _check_layout, _shared_gates,
-                      build_hash_circuit, check_block, check_zeros,
-                      has_leading_zeros, hash_classical, hash_gate_count,
-                      hash_many)
+                      build_hash_circuit, check_block, check_nonce_width,
+                      check_zeros, has_leading_zeros, hash_classical,
+                      hash_gate_count, hash_many)
 
 UNKNOWN_COUNT_GROWTH = 6 / 5  # per-round budget ratio when the solution count is unknown
 MAX_ESTIMATE_BITS = 1023  # the estimator's counts must convert to finite floats
@@ -39,9 +39,9 @@ MAX_ESTIMATE_BITS = 1023  # the estimator's counts must convert to finite floats
 class RegisterLayout:
     """Qubit indices for the four register parts.
 
-    The nonce and hash registers are non-empty, and the global order is
-    fixed for reproducibility: nonce at 0..n-1, hash next, then service,
-    functional last.
+    The nonce register has 1..len(hash) qubits (``check_nonce_width``), and
+    the global order is fixed for reproducibility: nonce at 0..n-1, hash
+    next, then service, functional last.
     """
 
     nonce: tuple[int, ...]
@@ -50,8 +50,7 @@ class RegisterLayout:
     functional: int
 
     def __post_init__(self):
-        if not self.nonce or not self.hash:
-            raise ValueError("nonce and hash registers must be non-empty")
+        check_nonce_width(len(self.nonce), len(self.hash))
         qubits = self.nonce + self.hash + self.service + (self.functional,)
         if qubits != tuple(range(len(qubits))):
             raise ValueError("layout must follow the fixed order "
@@ -59,6 +58,7 @@ class RegisterLayout:
 
     @staticmethod
     def standard(nonce_bits: int, digest_bits: int, service_bits: int = 0) -> "RegisterLayout":
+        check_nonce_width(nonce_bits, digest_bits)  # before any tuple is built
         n, m, s = nonce_bits, digest_bits, service_bits
         return RegisterLayout(tuple(range(n)), tuple(range(n, n + m)),
                               tuple(range(n + m, n + m + s)), n + m + s)
@@ -361,9 +361,9 @@ def enumerate_solutions(header_blocks: Sequence[int], hash_params: HashParams,
                         nonce_bits: int, zeros: int) -> list[int]:
     """All nonce values whose digest clears the difficulty, by classical
     exhaustion (desk scale only): one ``hash_many`` call over all 2^n
-    nonces, which names nonce 2^m if n > m."""
+    nonces."""
+    check_nonce_width(nonce_bits, hash_params.digest_bits)
     prefix = header_prefix(header_blocks, hash_params)
-    check_zeros(zeros, hash_params.digest_bits)  # before hash_many names a wide nonce
     digests = hash_many(prefix, np.arange(1 << nonce_bits), hash_params)
     return np.flatnonzero(has_leading_zeros(digests, hash_params.digest_bits, zeros)).tolist()
 

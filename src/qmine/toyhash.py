@@ -105,6 +105,15 @@ def check_zeros(zeros: int, width: int) -> int:
     return zeros
 
 
+def check_nonce_width(nonce_bits: int, digest_bits: int) -> int:
+    """``nonce_bits`` itself if a nonce of that many bits, 1..digest_bits,
+    is one sponge block of a digest_bits-bit hash, else ValueError.  It reads
+    the width alone, so it runs before anything that wide is built or hashed."""
+    if not 1 <= nonce_bits <= digest_bits:
+        raise ValueError(f"nonce_bits must be in 1..{digest_bits}, got {nonce_bits}")
+    return nonce_bits
+
+
 def round_constant(round_index: int, digest_bits: int) -> int:
     return ((round_index + 1) * GOLDEN_RATIO_32) & ((1 << digest_bits) - 1)
 
@@ -201,18 +210,10 @@ def _emit_round(circuit: Circuit, hash_qubits: Sequence[int], round_index: int,
             circuit.append(Gate.x(hash_qubits[i]))
 
 
-def check_nonce_width(nonce_bits: int, params: HashParams) -> None:
-    """Refuse a nonce wider than one sponge block, before its register is built."""
-    if nonce_bits > params.digest_bits:
-        raise ValueError(f"nonce register ({nonce_bits} qubits) must embed "
-                         f"into one {params.digest_bits}-bit block")
-
-
 def _check_layout(layout: "RegisterLayout", params: HashParams) -> None:
     if len(layout.hash) != params.digest_bits:
         raise ValueError(f"layout hash register has {len(layout.hash)} qubits, "
                          f"params need {params.digest_bits}")
-    check_nonce_width(len(layout.nonce), params)
 
 
 @lru_cache(maxsize=8)

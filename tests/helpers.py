@@ -165,15 +165,16 @@ def reference_mine_classical(header_blocks, params: MiningParams,
                         False, 0, 0.0, 0, 1 << nonce_bits)
 
 
-def reference_validate_block(block: Block, params: HashParams) -> list[str]:
-    """``validate_block``'s reasons, hashing the header alone through
-    ``hash_classical`` if no field or the nonce is out of range."""
+def reference_validate_block(block: Block, params: HashParams,
+                             nonce_bits: int) -> list[str]:
+    """One block's reasons in ``Chain.validate``, hashing the header alone
+    through ``hash_classical`` if no field or the nonce is out of range."""
     reasons, header = [], block.header
     try:
         blocks = serialize_header(header, params)
     except ValueError:
         reasons.append(REASON_HEADER_RANGE)
-    if not 0 <= header.nonce <= params.mask:
+    if not 0 <= header.nonce < 1 << nonce_bits:
         reasons.append(REASON_NONCE_RANGE)
     elif not reasons and hash_classical(blocks + [header.nonce], params) != block.digest:
         reasons.append(REASON_DIGEST_MISMATCH)
@@ -183,26 +184,19 @@ def reference_validate_block(block: Block, params: HashParams) -> list[str]:
     return reasons
 
 
-def reference_validate_chain(blocks, params: HashParams) -> list[str]:
-    """``validate_chain``'s reasons, one block at a time, each block's own
+def reference_chain_validate(chain: Chain) -> list[str]:
+    """``Chain.validate``'s reasons, one block at a time, each block's own
     reasons before its link."""
-    reasons = []
+    reasons, blocks = [], chain.blocks
     for i, block in enumerate(blocks):
-        reasons += [f"block {i}: {r}" for r in reference_validate_block(block, params)]
+        reasons += [f"block {i}: {r}" for r in
+                    reference_validate_block(block, chain.hash_params, chain.nonce_bits)]
         if i == 0:
             if block.header.prev_digest != 0:
                 reasons.append(f"block 0: {REASON_GENESIS_PREV}")
         elif block.header.prev_digest != blocks[i - 1].digest.value:
             reasons.append(f"block {i}: {REASON_PREV_LINK}")
     return reasons
-
-
-def reference_chain_validate(chain: Chain) -> list[str]:
-    """``Chain.validate``'s reasons: the chain's, then every nonce that fits a
-    block but not ``nonce_bits``."""
-    return (reference_validate_chain(chain.blocks, chain.hash_params)
-            + [f"block {i}: {REASON_NONCE_RANGE}" for i, b in enumerate(chain.blocks)
-               if 1 << chain.nonce_bits <= b.header.nonce <= chain.hash_params.mask])
 
 
 def reference_permute_labels(labels, gates) -> list[int]:

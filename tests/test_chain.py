@@ -9,14 +9,14 @@ from hypothesis import given, settings, strategies as st
 from qmine import (Block, BlockHeader, Chain, HashParams, MiningParams,
                    RegisterLayout, compute_required_zeros, enumerate_solutions,
                    hash_classical, load_chain, mine_classical, mine_quantum,
-                   save_chain, serialize_header, validate_block, validate_chain)
+                   save_chain, serialize_header)
 import qmine.chain
+import qmine.miner
 import qmine.toyhash
 from qmine.chain import SCAN_CHUNK, header_digest
 from qmine.toyhash import Digest
 from helpers import (count_rounds_calls, find_header_with_count,
-                     reference_chain_validate, reference_mine_classical,
-                     reference_validate_block, reference_validate_chain)
+                     reference_chain_validate, reference_mine_classical)
 
 HP = HashParams(8, 2)
 
@@ -83,6 +83,20 @@ class TestMineClassical:
                                make_params(3, rng_seed=seed))
         assert quantum.success and quantum.nonce in solutions
 
+    @pytest.mark.parametrize("nonce_bits", [0, 9])
+    def test_nonce_width_refused_before_any_hash(self, monkeypatch, nonce_bits):
+        # no nonce at n = 0, and at n = m + 1 one wider than the block it is
+        # absorbed as: both classical miners refuse the width before hashing
+        rounds, batches = count_rounds_calls(monkeypatch), []
+        for module in (qmine.chain, qmine.miner):
+            monkeypatch.setattr(module, "hash_many", lambda *args: batches.append(args))
+        message = f"^nonce_bits must be in 1..8, got {nonce_bits}$"
+        with pytest.raises(ValueError, match=message):
+            mine_classical([0x3], make_params(1), nonce_bits)
+        with pytest.raises(ValueError, match=message):
+            enumerate_solutions([0x3], HP, nonce_bits, 1)
+        assert rounds == [] and batches == []
+
 
 SCAN_N, SCAN_PARAMS = 10, MiningParams(8, HashParams(16, 2))
 
@@ -126,15 +140,6 @@ class TestChunkedScan:
         assert result == reference_mine_classical(header, params, 16)
         assert result.hashes_tried > 4 * SCAN_CHUNK
 
-    def test_nonce_past_the_block_raises_only_without_solution(self, monkeypatch):
-        # no 4-bit header leaves its 16 in-range nonces unsolved, so a fake
-        # hash that solves none stands in for one
-        hp = HashParams(4, 2)
-        monkeypatch.setattr(qmine.chain, "hash_many",
-                            lambda prefix, values, params: np.full(len(values), hp.mask))
-        with pytest.raises(ValueError, match="^block 0x10 does not fit in 4 bits$"):
-            mine_classical([0x3], MiningParams(1, hp), 6)
-
 
 class TestComputeRequiredZeros:
     @pytest.mark.parametrize("n,m,expect", [(48, 256, 49), (8, 16, 9), (4, 8, 5)])
@@ -154,6 +159,11 @@ class TestComputeRequiredZeros:
         assert str(exc_info.value) == ("the automatic difficulty of n+1 = 9 zeros "
                                        "does not fit the 8-bit digest")
 
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_nonce_width_checked(self, n):
+        with pytest.raises(ValueError, match=f"^nonce_bits must be in 1..8, got {n}$"):
+            compute_required_zeros(n, 8)
+
 
 def mined_block(prev, payload, timestamp, zeros, nonce_bits=4):
     header = BlockHeader(prev, payload, timestamp, zeros, 0)
@@ -163,16 +173,20 @@ def mined_block(prev, payload, timestamp, zeros, nonce_bits=4):
     return Block.from_header(dataclasses.replace(header, nonce=result.nonce), HP)
 
 
+def validate(*blocks):
+    return Chain(hash_params=HP, nonce_bits=4, blocks=list(blocks)).validate()
+
+
 class TestValidation:
     def test_fresh_block_valid(self):
         block = mined_block(0, 0x42, 7, 1)
-        assert validate_block(block, HP).ok
+        assert validate(block).ok
 
     def test_digest_flip_detected(self):
         block = mined_block(0, 0x42, 7, 1)
         bad = Block(block.header, Digest(block.digest.value ^ 0x01, 8))
-        report = validate_block(bad, HP)
-        assert not report.ok and "digest-mismatch" in report.reasons
+        report = validate(bad)
+        assert not report.ok and "block 0: digest-mismatch" in report.reasons
 
     def test_difficulty_violation_detected(self):
         header = BlockHeader(0, 0x42, 7, 8, 0)
@@ -180,17 +194,25 @@ class TestValidation:
         if digest.value == 0:  # full-zero digest would actually pass
             header = dataclasses.replace(header, payload_digest=0x43)
             digest = header_digest(header, HP)
-        report = validate_block(Block(header, digest), HP)
-        assert not report.ok and "difficulty" in report.reasons
+        report = validate(Block(header, digest))
+        assert not report.ok and "block 0: difficulty" in report.reasons
 
     @pytest.mark.parametrize("nonce", [-3, 0x100, 0xFFF])
     def test_nonce_wider_than_a_block_is_reported_unhashed(self, nonce):
         block = mined_block(0, 0x42, 7, 1)
         wide = Block(dataclasses.replace(block.header, nonce=nonce), block.digest)
-        assert validate_block(wide, HP).reasons == ["nonce-range"]
-        assert validate_chain([wide], HP).reasons == ["block 0: nonce-range"]
-        chain = Chain(hash_params=HP, nonce_bits=4, blocks=[wide])
-        assert chain.validate().reasons == ["block 0: nonce-range"]
+        assert validate(wide).reasons == ["block 0: nonce-range"]
+
+    def test_nonce_past_the_register_is_reported_in_block_order(self, monkeypatch):
+        # 0x10 fits the 8-bit block but not the 4-bit nonce register: block 0
+        # is reported before block 1's link, and only block 1 is hashed
+        genesis = mined_block(0, 0x42, 7, 1)
+        second = mined_block(genesis.digest.value ^ 0x04, 0x43, 8, 1)
+        genesis = Block(dataclasses.replace(genesis.header, nonce=0x10), genesis.digest)
+        calls = count_rounds_calls(monkeypatch)
+        assert validate(genesis, second).reasons == ["block 0: nonce-range",
+                                                     "block 1: prev-link"]
+        assert [np.shape(state) for state in calls] == [(1,)] * 5
 
     @pytest.mark.parametrize("field, value", [
         ("prev_digest", 0x1FF), ("payload_digest", 0x100), ("payload_digest", -1),
@@ -199,27 +221,34 @@ class TestValidation:
                                                             monkeypatch):
         block = mined_block(0, 0x42, 7, 1)
         wide = Block(dataclasses.replace(block.header, **{field: value}), block.digest)
+        link = ["block 0: genesis-prev"] if field == "prev_digest" else []
         monkeypatch.setattr(qmine.toyhash, "_rounds", None)  # never hashed
-        assert validate_block(wide, HP).reasons == ["header-range"]
+        assert validate(wide).reasons == ["block 0: header-range"] + link
         wide = Block(dataclasses.replace(wide.header, nonce=0x100), block.digest)
-        assert validate_block(wide, HP).reasons == ["header-range", "nonce-range"]
+        assert validate(wide).reasons == ["block 0: header-range",
+                                          "block 0: nonce-range"] + link
 
     def test_chain_of_mined_blocks_valid(self):
         genesis = mined_block(0, 0x42, 7, 1)
         second = mined_block(genesis.digest.value, 0x43, 8, 1)
         third = mined_block(second.digest.value, 0x44, 9, 1)
-        assert validate_chain([genesis, second, third], HP).ok
+        assert validate(genesis, second, third).ok
 
     def test_broken_link_detected(self):
         genesis = mined_block(0, 0x42, 7, 1)
         stray = mined_block(genesis.digest.value ^ 0x04, 0x43, 8, 1)
-        report = validate_chain([genesis, stray], HP)
-        assert not report.ok and any("prev-link" in r for r in report.reasons)
+        report = validate(genesis, stray)
+        assert not report.ok and "block 1: prev-link" in report.reasons
 
     def test_genesis_prev_must_be_zero(self):
         stray = mined_block(0x05, 0x42, 7, 1)
-        report = validate_chain([stray], HP)
-        assert not report.ok and any("genesis-prev" in r for r in report.reasons)
+        report = validate(stray)
+        assert not report.ok and "block 0: genesis-prev" in report.reasons
+
+    @pytest.mark.parametrize("nonce_bits", [0, 9])
+    def test_nonce_width_checked(self, nonce_bits):
+        with pytest.raises(ValueError, match=f"^nonce_bits must be in 1..8, got {nonce_bits}$"):
+            Chain(hash_params=HP, nonce_bits=nonce_bits)
 
 
 def grown_chain(hp, nonce_bits, length, seed):
@@ -302,34 +331,29 @@ class TestBatchedValidation:
     @settings(derandomize=True, deadline=None, max_examples=100)
     def test_reasons_equal_the_per_block_reference(self, corrupted):
         chain, corrupted_blocks = corrupted
-        hp = chain.hash_params
-        assert validate_chain(chain.blocks, hp).reasons == reference_validate_chain(
-            chain.blocks, hp)
         assert chain.validate().reasons == reference_chain_validate(chain)
         for i in corrupted_blocks:
-            block = chain.blocks[i]
-            assert validate_block(block, hp).reasons == reference_validate_block(block, hp)
+            alone = dataclasses.replace(chain, blocks=[chain.blocks[i]])
+            assert alone.validate().reasons == reference_chain_validate(alone)
 
     @pytest.mark.parametrize("length", [1, 10, 300])
     def test_five_rounds_calls_whatever_the_length(self, monkeypatch, length):
         chain = grown_chain(HashParams(16, 2), 8, length, seed=length)
-        expected = reference_validate_chain(chain.blocks, chain.hash_params)
+        expected = reference_chain_validate(chain)
         calls = count_rounds_calls(monkeypatch)
-        assert validate_chain(chain.blocks, chain.hash_params).reasons == expected
+        assert chain.validate().reasons == expected
         assert [np.shape(state) for state in calls] == [(length,)] * 5
-        chain.validate()
-        validate_block(chain.blocks[-1], chain.hash_params)
-        assert len(calls) == 15
 
     def test_no_rounds_call_without_a_hashable_header(self, monkeypatch):
-        chain = grown_chain(HashParams(8, 2), 4, 10, seed=3)
-        unhashable = [Block(dataclasses.replace(b.header, nonce=0x100), b.digest)
-                      for b in chain.blocks]
-        expected = reference_validate_chain(unhashable, HP)
+        # 0x10 fits the 8-bit block, but not the 4-bit nonce register
+        chain = grown_chain(HP, 4, 10, seed=3)
+        unhashable = dataclasses.replace(chain, blocks=[
+            Block(dataclasses.replace(b.header, nonce=0x10), b.digest) for b in chain.blocks])
+        expected = reference_chain_validate(unhashable)
         calls = count_rounds_calls(monkeypatch)
-        assert validate_chain(unhashable, HP).reasons == expected
-        assert validate_chain([], HP).ok
-        assert validate_block(unhashable[0], HP).reasons == ["nonce-range"]
+        assert unhashable.validate().reasons == expected
+        assert validate().ok
+        assert validate(unhashable.blocks[0]).reasons == ["block 0: nonce-range"]
         assert calls == []
 
 

@@ -5,6 +5,7 @@ import json
 import re
 import runpy
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -84,8 +85,7 @@ class TestMineCommand:
     def test_nonce_wider_than_hash_exits_2(self, capsys):
         code = main(["mine", "--n", "9", "--m", "8", "--zeros", "4"])
         assert code == EXIT_USAGE
-        assert "nonce register (9 qubits) must embed into one 8-bit block" in \
-            capsys.readouterr().err
+        assert "nonce_bits must be in 1..8, got 9" in capsys.readouterr().err
 
     def test_quantum_mine_past_the_state_vector_cap(self, capsys):
         # 33 qubits: mining keeps 2^16 amplitudes, never the 2^33-entry state
@@ -130,14 +130,14 @@ class TestMineCommand:
 
     def test_chain_show_wide_genesis_prev(self, tmp_path, capsys):
         # a prev_digest wider than the digest is shown in full, not cut to
-        # the digest's two hex digits
+        # the digest's two hex digits, and the columns after it stay aligned
         payload = json.loads((DATA / "golden_chain.json").read_text())
         payload["blocks"][0]["prev_digest"] = "1ffff"
         chain_file = tmp_path / "chain.json"
         chain_file.write_text(json.dumps(payload))
         assert main(["chain", "show", "--chain-file", str(chain_file)]) == EXIT_OK
         assert capsys.readouterr().out == GOLDEN_CHAIN_SHOW.replace(
-            "0     00       1b", "0     1ffff       1b")
+            "0     00       1b", "0     1ffff    1b")
 
     @pytest.mark.parametrize("nonce", ["10", "fff", "-3"])
     def test_out_of_range_nonce_is_one_invalid_block(self, tmp_path, capsys, nonce):
@@ -456,11 +456,9 @@ class TestMalformedInput:
         self.assert_usage_error(capsys, ["estimate", *flags], text)
 
     @pytest.mark.parametrize("flags, text", [
-        (["--measure-n", "0"], "nonce and hash registers must be non-empty"),
-        (["--measure-n", "9", "--m", "8"],
-         "nonce register (9 qubits) must embed into one 8-bit block"),
-        (["--measure-n", "16", "--m", "4"],
-         "nonce register (16 qubits) must embed into one 4-bit block"),
+        (["--measure-n", "0"], "nonce_bits must be in 1..8, got 0"),
+        (["--measure-n", "9", "--m", "8"], "nonce_bits must be in 1..8, got 9"),
+        (["--measure-n", "16", "--m", "4"], "nonce_bits must be in 1..4, got 16"),
         (["--m", "17"], "digest_bits must be in 4..16, got 17"),
         (["--rounds", "9"], "rounds must be in 1..8, got 9"),
     ], ids=["n-0", "n-equals-m", "n-above-m", "m-17", "rounds-9"])
@@ -470,16 +468,22 @@ class TestMalformedInput:
         assert capsys.readouterr() == ("", f"error: {text}\n")
 
     @pytest.mark.parametrize("flags, text", [
-        (["--n", "0"], "nonce and hash registers must be non-empty"),
-        (["--n", "9", "--m", "8"], "nonce register (9 qubits) must embed into one 8-bit block"),
+        (["--n", "0"], "nonce_bits must be in 1..8, got 0"),
+        (["--n", "9", "--m", "8"], "nonce_bits must be in 1..8, got 9"),
         (["--zeros", "9", "--m", "8"], "zeros must be in 0..8, got 9"),
     ], ids=["n-0", "n-above-m", "zeros-above-m"])
-    def test_one_message_per_input_rule(self, capsys, flags, text):
+    def test_one_message_per_input_rule(self, tmp_path, capsys, flags, text):
         # each rule has one owner, so every command that checks it says the same
         argvs = [["mine", *flags], ["sweep", *flags]]
-        if "--zeros" not in flags:  # estimate takes no difficulty
+        if "--zeros" not in flags:  # estimate and a chain file take no difficulty
             argvs.append(["estimate", "--measured",
                           *("--measure-n" if f == "--n" else f for f in flags)])
+            payload = json.loads((DATA / "golden_chain.json").read_text())  # m = 8
+            payload["nonce_bits"] = int(flags[1])
+            chain_file = tmp_path / "chain.json"
+            chain_file.write_text(json.dumps(payload))
+            argvs += [["chain", command, "--chain-file", str(chain_file)]
+                      for command in ("validate", "show")]
         for argv in argvs:
             assert main(argv) == EXIT_USAGE
             assert capsys.readouterr() == ("", f"error: {text}\n")
@@ -487,17 +491,19 @@ class TestMalformedInput:
     @pytest.mark.parametrize("argv, flag", [
         (["mine"], "--n"), (["sweep"], "--n"), (["estimate", "--measured"], "--measure-n"),
     ], ids=["mine", "sweep", "estimate-measured"])
-    def test_wide_nonce_refused_before_its_register_is_built(self, monkeypatch, capsys,
-                                                             argv, flag):
-        # a register of 10^10 qubits does not fit in memory: the width alone is checked
-        def refuse(nonce_bits, *args):
-            raise AssertionError(f"built a {nonce_bits}-qubit nonce register")
-
-        monkeypatch.setattr(RegisterLayout, "standard", staticmethod(refuse))
-        assert main([*argv, flag, "10000000000", "--m", "8"]) == EXIT_USAGE
+    def test_wide_nonce_refused_before_its_register_is_built(self, capsys, argv, flag):
+        # a register of 10^10 qubits does not fit in memory: the width alone
+        # is checked, so the refusal allocates next to nothing
+        cli.build_parser()
+        tracemalloc.start()
+        try:
+            code = main([*argv, flag, "10000000000", "--m", "8"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_USAGE and peak < 1 << 20
         assert capsys.readouterr() == (
-            "", "error: nonce register (10000000000 qubits) must embed into one "
-                "8-bit block\n")
+            "", "error: nonce_bits must be in 1..8, got 10000000000\n")
 
     @pytest.mark.parametrize("command", ["mine", "sweep"])
     def test_automatic_difficulty_wider_than_the_digest(self, capsys, command):

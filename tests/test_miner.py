@@ -58,14 +58,22 @@ class TestRegisterLayout:
         with pytest.raises(ValueError):
             RegisterLayout.standard(0, 4)
 
-    @pytest.mark.parametrize("nonce, hash_qubits", [((), (0, 1, 2, 3)), ((0,), ())],
-                             ids=["empty-nonce", "empty-hash"])
-    def test_empty_register_rejected_when_built_directly(self, nonce, hash_qubits):
+    @pytest.mark.parametrize("nonce, hash_qubits, text", [
+        ((), (0, 1, 2, 3), "1..4, got 0"), ((0,), (), "1..0, got 1")],
+        ids=["empty-nonce", "empty-hash"])
+    def test_empty_register_rejected_when_built_directly(self, nonce, hash_qubits, text):
         # the fixed order alone holds for these: the constructor, not
-        # standard, refuses them
+        # standard, refuses them, by the nonce width rule
         functional = len(nonce) + len(hash_qubits)
-        with pytest.raises(ValueError, match="^nonce and hash registers must be non-empty$"):
+        with pytest.raises(ValueError, match=f"^nonce_bits must be in {text}$"):
             RegisterLayout(nonce=nonce, hash=hash_qubits, service=(), functional=functional)
+
+    def test_nonce_wider_than_the_hash_rejected(self):
+        with pytest.raises(ValueError, match=r"^nonce_bits must be in 1..4, got 5$"):
+            RegisterLayout.standard(5, 4)
+        with pytest.raises(ValueError, match=r"^nonce_bits must be in 1..4, got 5$"):
+            RegisterLayout(nonce=tuple(range(5)), hash=(5, 6, 7, 8), service=(),
+                           functional=9)
 
 
 class TestMiningParams:
@@ -196,7 +204,7 @@ class TestDiffusion:
 
     def test_empty_nonce_rejected(self):
         # no empty-nonce layout exists to build a diffusion on
-        with pytest.raises(ValueError, match="nonce and hash registers must be non-empty"):
+        with pytest.raises(ValueError, match="^nonce_bits must be in 1..2, got 0$"):
             build_diffusion(RegisterLayout(nonce=(), hash=(0, 1), service=(), functional=2))
 
 
@@ -810,8 +818,9 @@ class TestFusedCompile:
 
     def test_build_keeps_its_input_errors(self):
         # the layout and every header block are checked before any table
-        # lookup, with the hash builder's messages
-        with pytest.raises(ValueError, match=r"nonce register \(9 qubits\) must embed"):
+        # lookup, with the hash builder's messages; a nonce wider than the
+        # digest has no layout to build a search on
+        with pytest.raises(ValueError, match=r"^nonce_bits must be in 1..8, got 9$"):
             SearchProblem.build([0x1], RegisterLayout.standard(9, 8), HP82, 3)
         with pytest.raises(ValueError, match="hash register has 8 qubits, params need 12"):
             SearchProblem.build([0x1], RegisterLayout.standard(4, 8), HashParams(12, 2), 3)
@@ -1048,26 +1057,13 @@ class TestHeaderPrefix:
                 solvable.add(bool(solutions))
         assert solvable == {False, True}
 
-    @pytest.mark.parametrize("zeros", [-1, 5])
-    def test_zeros_out_of_range_named_before_a_wide_nonce(self, zeros):
-        # the one-by-one loop checked zeros at nonce 0, before reaching 0x10
-        hp = HashParams(4, 2)
-        for n in (3, 6):
-            error = outcome(enumerate_solutions, [0x3], hp, n, zeros)
-            assert error == outcome(reference_enumerate_solutions, [0x3], hp, n, zeros)
-            assert error == f"ValueError: zeros must be in 0..4, got {zeros}"
-
     @pytest.mark.parametrize("header", [[], [0x3], [0x9, 0x0, 0xF, 0x4]])
     def test_nonce_wider_than_the_digest(self, header):
-        # enumeration reaches nonce 0x10 and must name it; the brute-force
-        # miner stops first, since the permutation maps the 16 one-block
-        # inputs onto every digest, the all-zero one included
+        # both classical miners refuse the width before trying a nonce, even
+        # where a nonce that fits the block solves
         hp, n = HashParams(4, 2), 6
         for zeros in range(5):
-            error = outcome(enumerate_solutions, header, hp, n, zeros)
-            assert error == outcome(reference_enumerate_solutions, header, hp, n, zeros)
-            assert error == "ValueError: block 0x10 does not fit in 4 bits"
-            params = MiningParams(zeros, hp)
-            result = mine_classical(header, params, n)
-            assert result.success
-            assert result == reference_mine_classical(header, params, n)
+            for miner, args in ((enumerate_solutions, (hp, n, zeros)),
+                                (mine_classical, (MiningParams(zeros, hp), n))):
+                assert outcome(miner, header, *args) == \
+                    "ValueError: nonce_bits must be in 1..4, got 6"

@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from qmine import (Circuit, Gate, HashParams, RegisterLayout, apply_circuit,
                    assignment_for, build_hash_circuit,
-                   build_hash_circuit_outofplace, build_oracle, format_circuit,
-                   has_leading_zeros, hash_classical, invert, new_zero_state)
+                   build_hash_circuit_outofplace, build_oracle, enumerate_solutions,
+                   format_circuit, has_leading_zeros, hash_classical, invert,
+                   new_zero_state)
 from qmine.miner import _cached_search_tables, _register_table
 from qmine.toyhash import (_emit_absorbs, _shared_gates, check_block, check_zeros,
                            hash_many, permute, round_constant)
@@ -186,6 +187,8 @@ class TestDifficultyRule:
                 has_leading_zeros(np.arange(4), width, zeros)
             with pytest.raises(ValueError, match=message):
                 build_oracle(layout, zeros)
+            with pytest.raises(ValueError, match=message):
+                enumerate_solutions([0x3], HashParams(width, 2), 2, zeros)
 
 
 def run_circuit_digest(layout, circuit, nonce_value):
@@ -238,9 +241,9 @@ class TestHashCircuit:
         assert digest == 0xB9
 
     def test_nonce_wider_than_block_rejected(self):
-        layout = RegisterLayout.standard(6, 4)
-        with pytest.raises(ValueError):
-            build_hash_circuit(layout, [0], HashParams(4, 1))
+        # no layout holds a nonce wider than its hash register
+        with pytest.raises(ValueError, match="^nonce_bits must be in 1..4, got 6$"):
+            build_hash_circuit(RegisterLayout.standard(6, 4), [0], HashParams(4, 1))
 
     def test_unwind_restores_state(self):
         layout = RegisterLayout.standard(4, 8)
