@@ -45,19 +45,6 @@ class Block:
     header: BlockHeader
     digest: Digest
 
-    @staticmethod
-    def from_header(header: BlockHeader, params: HashParams) -> "Block":
-        return Block(header, header_digest(header, params))
-
-
-@dataclass
-class ValidationReport:
-    reasons: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.reasons
-
 
 def serialize_header(header: BlockHeader, params: HashParams) -> list[int]:
     """Fixed block sequence [prev, payload, timestamp, difficulty]; the
@@ -118,42 +105,7 @@ def compute_required_zeros(nonce_bits: int, digest_bits: int) -> int:
     return nonce_bits + 1
 
 
-# -- validation ------------------------------------------------------------------
-
-
-def _block_reasons(blocks: Sequence[Block], params: HashParams,
-                   nonce_bits: int) -> list[list[str]]:
-    """Each block's digest and difficulty reasons.  A header field that
-    ``serialize_header`` rejects, or a nonce outside 0..2^nonce_bits - 1, is
-    reported as out of range and the header is not hashed; the headers that
-    pass are hashed together, one ``absorb`` over their five columns."""
-    reasons, rows, hashed, space = [], [], [], 1 << nonce_bits
-    for i, block in enumerate(blocks):
-        header, found = block.header, []
-        try:
-            row = serialize_header(header, params) + [header.nonce]
-        except ValueError:
-            found.append(REASON_HEADER_RANGE)
-        if not 0 <= header.nonce < space:
-            found.append(REASON_NONCE_RANGE)
-        elif not found:
-            rows.append(row)
-            hashed.append(i)
-        reasons.append(found)
-    if rows:
-        digests = absorb(np.array(rows, dtype=np.int64).T, params)
-        for i, value in zip(hashed, digests.tolist()):
-            if Digest(value, params.digest_bits) != blocks[i].digest:
-                reasons[i].append(REASON_DIGEST_MISMATCH)
-    for block, found in zip(blocks, reasons):
-        zeros = block.header.difficulty_zeros
-        if (0 <= zeros <= params.digest_bits  # else header-range
-                and not block.digest.meets_difficulty(zeros)):
-            found.append(REASON_DIFFICULTY)
-    return reasons
-
-
-# -- persistence -------------------------------------------------------------------
+# -- validation and persistence ----------------------------------------------------
 
 
 @dataclass
@@ -168,22 +120,44 @@ class Chain:
     def tip_digest(self) -> int:
         return self.blocks[-1].digest.value if self.blocks else 0
 
-    def append(self, block: Block) -> None:
-        self.blocks.append(block)
-
-    def validate(self) -> ValidationReport:
-        """Block by block, each block's range, digest and difficulty
-        reasons, then its link to the block before."""
-        blocks, report = self.blocks, ValidationReport()
-        for i, (block, reasons) in enumerate(
-                zip(blocks, _block_reasons(blocks, self.hash_params, self.nonce_bits))):
-            report.reasons.extend(f"block {i}: {r}" for r in reasons)
-            if i == 0:
-                if block.header.prev_digest != 0:
-                    report.reasons.append(f"block 0: {REASON_GENESIS_PREV}")
-            elif block.header.prev_digest != blocks[i - 1].digest.value:
-                report.reasons.append(f"block {i}: {REASON_PREV_LINK}")
-        return report
+    def validate(self) -> list[str]:
+        """Every reason the chain is invalid, in block order: each block's
+        range, digest and difficulty reasons, then its link to the block
+        before (block 0's to 0, the tip of an empty chain).  A header field
+        that ``serialize_header`` rejects, or a nonce outside
+        0..2^nonce_bits - 1, is reported as out of range and the header is
+        not hashed; the headers that pass are hashed together, one
+        ``absorb`` over their five columns."""
+        params, space = self.hash_params, 1 << self.nonce_bits
+        found, rows, hashed = [], [], []
+        for i, block in enumerate(self.blocks):
+            header, own = block.header, []
+            try:
+                row = serialize_header(header, params) + [header.nonce]
+            except ValueError:
+                own.append(REASON_HEADER_RANGE)
+            if not 0 <= header.nonce < space:
+                own.append(REASON_NONCE_RANGE)
+            elif not own:
+                rows.append(row)
+                hashed.append(i)
+            found.append(own)
+        if rows:
+            digests = absorb(np.array(rows, dtype=np.int64).T, params)
+            for i, value in zip(hashed, digests.tolist()):
+                if Digest(value, params.digest_bits) != self.blocks[i].digest:
+                    found[i].append(REASON_DIGEST_MISMATCH)
+        reasons, prev = [], 0
+        for i, (block, own) in enumerate(zip(self.blocks, found)):
+            zeros = block.header.difficulty_zeros
+            if (0 <= zeros <= params.digest_bits  # else header-range
+                    and not block.digest.meets_difficulty(zeros)):
+                own.append(REASON_DIFFICULTY)
+            if block.header.prev_digest != prev:
+                own.append(REASON_GENESIS_PREV if i == 0 else REASON_PREV_LINK)
+            reasons += [f"block {i}: {r}" for r in own]
+            prev = block.digest.value
+        return reasons
 
 
 def save_chain(chain: Chain, path: str | Path) -> None:
@@ -231,6 +205,16 @@ def json_int(value) -> int:
     return value
 
 
+def json_hex(value) -> int:
+    """The integer a JSON string of hex digits spells."""
+    if isinstance(value, str):
+        try:
+            return int(value, 16)
+        except ValueError:
+            pass
+    raise TypeError(f"expected a hex string, got {value!r}")
+
+
 def json_bool(value) -> bool:
     """``value`` itself if it is a JSON boolean."""
     if not isinstance(value, bool):
@@ -254,13 +238,13 @@ def load_chain(path: str | Path) -> Chain:
         blocks = []
         for entry in payload["blocks"]:
             header = BlockHeader(
-                prev_digest=int(entry["prev_digest"], 16),
-                payload_digest=int(entry["payload_digest"], 16),
+                prev_digest=json_hex(entry["prev_digest"]),
+                payload_digest=json_hex(entry["payload_digest"]),
                 timestamp=json_int(entry["timestamp"]),
                 difficulty_zeros=json_int(entry["difficulty_zeros"]),
-                nonce=int(entry["nonce"], 16),
+                nonce=json_hex(entry["nonce"]),
             )
-            blocks.append(Block(header, Digest(int(entry["digest"], 16), hp.digest_bits)))
+            blocks.append(Block(header, Digest(json_hex(entry["digest"]), hp.digest_bits)))
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed chain file {path}: {exc!r}") from None
     return Chain(hash_params=hp, nonce_bits=nonce_bits, blocks=blocks)

@@ -17,9 +17,9 @@ from functools import cache
 from pathlib import Path
 from typing import Sequence
 
-from .chain import (Block, BlockHeader, Chain, compute_required_zeros, json_bool,
-                    json_int, load_chain, mine_classical, read_json_object,
-                    save_chain, serialize_header)
+from .chain import (Block, BlockHeader, Chain, compute_required_zeros, header_digest,
+                    json_bool, json_hex, json_int, load_chain, mine_classical,
+                    read_json_object, save_chain, serialize_header)
 from .circuit import format_circuit
 from .miner import (MiningParams, MiningResult, RegisterLayout, SearchProblem,
                     analytic_success_probability, build_diffusion, build_oracle,
@@ -67,12 +67,6 @@ def _number(value) -> float:
     return float(value)
 
 
-def _hex(value) -> int:
-    if not isinstance(value, str):
-        raise TypeError(f"expected a hex string, got {value!r}")
-    return int(value, 16)
-
-
 def _optional_str(value) -> str | None:
     if value is not None and not isinstance(value, str):
         raise TypeError(f"expected a string, got {value!r}")
@@ -91,8 +85,8 @@ RUN_OPTIONS = (  # flags of mine and sweep
          help="derive zeros as n+1 (expected half a solution)"),
     _opt("true_chi", False, json_bool, action=_BOOL,
          help="use the inverted-operand chi nonlinearity"),
-    _opt("prev", 0, _hex, help="previous digest, hex"),
-    _opt("payload", 0, _hex, help="payload digest, hex"),
+    _opt("prev", 0, json_hex, help="previous digest, hex"),
+    _opt("payload", 0, json_hex, help="payload digest, hex"),
     _opt("timestamp", 0, json_int, type=int, help="header timestamp"),
     _opt("csv_out", None, _optional_str, help="write machine-readable CSV here"),
     _opt("dump_circuits", None, _optional_str,
@@ -289,7 +283,8 @@ def cmd_mine(cfg: argparse.Namespace) -> int:
     # results run classical first, so a quantum nonce wins when both succeed
     found = [r for r in results.values() if r.success]
     if chain is not None and found:
-        chain.append(Block.from_header(replace(header, nonce=found[-1].nonce), hp))
+        header = replace(header, nonce=found[-1].nonce)
+        chain.blocks.append(Block(header, header_digest(header, hp)))
         save_chain(chain, cfg.chain_file)
         print(f"appended block {len(chain.blocks) - 1} to {cfg.chain_file}")
 
@@ -359,11 +354,11 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 def cmd_chain_validate(path: str) -> int:
     chain = load_chain(path)
-    report = chain.validate()
-    if report.ok:
+    reasons = chain.validate()
+    if not reasons:
         print(f"chain OK ({len(chain.blocks)} block(s))")
         return EXIT_OK
-    for reason in report.reasons:
+    for reason in reasons:
         print(f"invalid: {reason}")
     return EXIT_INVALID_CHAIN
 

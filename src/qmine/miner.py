@@ -39,9 +39,10 @@ MAX_ESTIMATE_BITS = 1023  # the estimator's counts must convert to finite floats
 class RegisterLayout:
     """Qubit indices for the four register parts.
 
-    The nonce register has 1..len(hash) qubits (``check_nonce_width``), and
-    the global order is fixed for reproducibility: nonce at 0..n-1, hash
-    next, then service, functional last.
+    The hash register is non-empty, the nonce register has 1..len(hash)
+    qubits (``check_nonce_width``), and the global order is fixed for
+    reproducibility: nonce at 0..n-1, hash next, then service, functional
+    last.
     """
 
     nonce: tuple[int, ...]
@@ -50,6 +51,8 @@ class RegisterLayout:
     functional: int
 
     def __post_init__(self):
+        if not self.hash:
+            raise ValueError("the hash register must be non-empty")
         check_nonce_width(len(self.nonce), len(self.hash))
         qubits = self.nonce + self.hash + self.service + (self.functional,)
         if qubits != tuple(range(len(qubits))):
@@ -242,9 +245,9 @@ def _cached_search_tables(layout: RegisterLayout, hash_params: HashParams,
     marks[absorb[v] ^ prefix] and the unhash clears the field, provided the
     CNOTs read only nonce qubits and write only the hash field and the oracle
     reads only that field and writes only the functional qubit."""
+    oracle = build_oracle(layout, zeros).gates  # checks zeros before any table
     cnots, rounds = _shared_gates(layout.nonce, layout.hash, hash_params, ())
     forward = _register_table(rounds, layout.hash)
-    oracle = build_oracle(layout, zeros).gates
     low, functional = layout.hash[0], 1 << layout.functional
     nonce_mask, field = (1 << len(layout.nonce)) - 1, (len(forward) - 1) << low
     nonces, values = np.arange(nonce_mask + 1), np.arange(len(forward)) << low
@@ -363,6 +366,7 @@ def enumerate_solutions(header_blocks: Sequence[int], hash_params: HashParams,
     exhaustion (desk scale only): one ``hash_many`` call over all 2^n
     nonces."""
     check_nonce_width(nonce_bits, hash_params.digest_bits)
+    check_zeros(zeros, hash_params.digest_bits)
     prefix = header_prefix(header_blocks, hash_params)
     digests = hash_many(prefix, np.arange(1 << nonce_bits), hash_params)
     return np.flatnonzero(has_leading_zeros(digests, hash_params.digest_bits, zeros)).tolist()

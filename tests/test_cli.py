@@ -18,7 +18,7 @@ from qmine import (Block, BlockHeader, HashParams, SearchProblem,
                    load_chain)
 from qmine import RegisterLayout, cli
 import qmine.miner
-from qmine.chain import Chain, save_chain
+from qmine.chain import Chain, header_digest, save_chain
 from qmine.cli import EXIT_EXHAUSTED, EXIT_INVALID_CHAIN, EXIT_OK, EXIT_USAGE, main
 from helpers import count_recurrence_steps, simulated_gates_per_iteration
 
@@ -44,8 +44,8 @@ def valid_chain(length=2):
         blocks = [chain.tip_digest(), 0, ts, 4]
         solutions = enumerate_solutions(blocks, params, 4, 4)
         if solutions:
-            chain.append(Block.from_header(BlockHeader(*blocks, solutions[0]),
-                                           params))
+            header = BlockHeader(*blocks, solutions[0])
+            chain.blocks.append(Block(header, header_digest(header, params)))
         if len(chain.blocks) == length:
             return chain
     raise AssertionError("no suitable headers found")
@@ -382,8 +382,12 @@ class TestMalformedInput:
         (lambda p: {**p, "nonce_bits": 10 ** 30}, "nonce_bits must be in 1..8"),
         (lambda p: {**p, "blocks": [{**p["blocks"][0], "timestamp": "3"}]},
          "expected an integer, got '3'"),
+        (lambda p: {**p, "blocks": [{**p["blocks"][0], "nonce": "zz"}]},
+         "expected a hex string, got 'zz'"),
+        (lambda p: {**p, "blocks": [{**p["blocks"][0], "digest": 5}]},
+         "expected a hex string, got 5"),
     ], ids=["float-rounds", "string-true-chi", "huge-nonce-bits",
-            "string-timestamp"])
+            "string-timestamp", "non-hex-nonce", "int-digest"])
     def test_mistyped_chain_value(self, tmp_path, capsys, edit, text):
         chain_file = self.write_chain(tmp_path, edit)
         self.assert_usage_error(capsys, ["chain", "validate", "--chain-file",

@@ -58,14 +58,15 @@ class TestRegisterLayout:
         with pytest.raises(ValueError):
             RegisterLayout.standard(0, 4)
 
-    @pytest.mark.parametrize("nonce, hash_qubits, text", [
-        ((), (0, 1, 2, 3), "1..4, got 0"), ((0,), (), "1..0, got 1")],
+    @pytest.mark.parametrize("nonce, hash_qubits, message", [
+        ((), (0, 1, 2, 3), "nonce_bits must be in 1..4, got 0"),
+        ((0,), (), "the hash register must be non-empty")],
         ids=["empty-nonce", "empty-hash"])
-    def test_empty_register_rejected_when_built_directly(self, nonce, hash_qubits, text):
+    def test_empty_register_rejected_when_built_directly(self, nonce, hash_qubits, message):
         # the fixed order alone holds for these: the constructor, not
-        # standard, refuses them, by the nonce width rule
+        # standard, refuses them, the empty nonce by the nonce width rule
         functional = len(nonce) + len(hash_qubits)
-        with pytest.raises(ValueError, match=f"^nonce_bits must be in {text}$"):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             RegisterLayout(nonce=nonce, hash=hash_qubits, service=(), functional=functional)
 
     def test_nonce_wider_than_the_hash_rejected(self):
@@ -816,10 +817,13 @@ class TestFusedCompile:
         assert np.array_equal(problem.marked,
                               reference_compile(header, layout, params, 4)[1])
 
-    def test_build_keeps_its_input_errors(self):
-        # the layout and every header block are checked before any table
-        # lookup, with the hash builder's messages; a nonce wider than the
-        # digest has no layout to build a search on
+    def test_build_keeps_its_input_errors(self, monkeypatch):
+        # the layout, every header block and the difficulty are checked
+        # before any table is built or read, with the hash builder's
+        # messages; a nonce wider than the digest has no layout to build a
+        # search on
+        rounds, labels = count_rounds_calls(monkeypatch), []
+        monkeypatch.setattr(qmine.miner, "permute_labels", lambda *args: labels.append(args))
         with pytest.raises(ValueError, match=r"^nonce_bits must be in 1..8, got 9$"):
             SearchProblem.build([0x1], RegisterLayout.standard(9, 8), HP82, 3)
         with pytest.raises(ValueError, match="hash register has 8 qubits, params need 12"):
@@ -828,6 +832,10 @@ class TestFusedCompile:
             SearchProblem.build([0x1, 0x100], RegisterLayout.standard(4, 8), HP82, 3)
         with pytest.raises(ValueError, match="zeros must be in 0..8"):
             SearchProblem.build([0x1], RegisterLayout.standard(4, 8), HP82, 9)
+        with pytest.raises(ValueError, match=r"^zeros must be in 0..16, got 17$"):
+            SearchProblem.build([0, 0, 0, 0], RegisterLayout.standard(16, 16),
+                                HashParams(16, 8), 17)
+        assert rounds == [] and labels == []
 
     def test_a_block_outside_the_hash_register_is_rejected(self):
         layout = RegisterLayout.standard(2, 4)  # nonce 0-1, hash 2-5, functional 6
