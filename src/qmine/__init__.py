@@ -8,8 +8,7 @@ from .miner import (MiningParams, MiningResult, RegisterLayout, ResourceEstimate
                     SearchProblem, analytic_success_probability, build_diffusion,
                     build_oracle, enumerate_solutions, estimate_resources,
                     grover_iteration, iteration_count, mine_quantum, prepare)
-from .statevector import (CapacityError, MeasurementOutcome, StateVector,
-                          assignment_for, new_zero_state)
+from .statevector import CapacityError, StateVector, assignment_for, new_zero_state
 from .toyhash import (Digest, HashParams, build_hash_circuit,
                       build_hash_circuit_outofplace, hash_classical,
                       has_leading_zeros, permute, round_constant)
@@ -19,7 +18,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Block", "BlockHeader", "CapacityError", "Chain", "Circuit", "Digest",
-    "Gate", "HashParams", "MeasurementOutcome", "MiningParams", "MiningResult",
+    "Gate", "HashParams", "MiningParams", "MiningResult",
     "RegisterLayout", "ResourceEstimate", "SearchProblem", "StateVector",
     "analytic_success_probability", "apply_circuit", "assignment_for",
     "build_diffusion", "build_hash_circuit", "build_hash_circuit_outofplace",

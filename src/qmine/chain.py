@@ -10,6 +10,7 @@ sponge block supplied by whichever miner is running.
 from __future__ import annotations
 
 import json
+import string
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -22,6 +23,7 @@ from .toyhash import (Digest, HashParams, absorb, check_nonce_width, check_zeros
 
 CHAIN_FORMAT_VERSION = "qmine-chain/1"
 SCAN_CHUNK = 256  # nonces mine_classical hashes per hash_many call
+_HEX_CHARS = frozenset(string.hexdigits)
 
 REASON_DIGEST_MISMATCH = "digest-mismatch"
 REASON_DIFFICULTY = "difficulty"
@@ -206,12 +208,11 @@ def json_int(value) -> int:
 
 
 def json_hex(value) -> int:
-    """The integer a JSON string of hex digits spells."""
-    if isinstance(value, str):
-        try:
-            return int(value, 16)
-        except ValueError:
-            pass
+    """The integer a JSON string of hex digits spells: one or more of
+    0-9a-fA-F, as ``save_chain`` writes them, with no sign, prefix,
+    underscore or space."""
+    if isinstance(value, str) and value and _HEX_CHARS.issuperset(value):
+        return int(value, 16)
     raise TypeError(f"expected a hex string, got {value!r}")
 
 

@@ -260,7 +260,8 @@ def cmd_mine(cfg: argparse.Namespace) -> int:
             line += (f" iterations={res.grover_iterations_used}"
                      f" p_success={_fmt(res.success_probability_at_measurement)}"
                      f" gates={res.total_gates}"
-                     f" verify_hashes={res.hashes_tried}")
+                     f" verify_hashes={res.hashes_tried}"
+                     f" readout={'argmax' if cfg.exact else 'sampled'}")
         else:
             line += f" hashes_tried={res.hashes_tried}"
         print(line)

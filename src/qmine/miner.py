@@ -25,7 +25,7 @@ import numpy as np
 from .circuit import Circuit, Gate, apply_circuit, invert
 # new_zero_state and build_hash_circuit stay bound here for tracers that
 # wrap miner.new_zero_state and miner.build_hash_circuit
-from .statevector import StateVector, new_zero_state, permute_labels
+from .statevector import StateVector, new_zero_state, permute_labels, sample_readout
 from .toyhash import (Digest, HashParams, _check_layout, _shared_gates,
                       build_hash_circuit, check_block, check_nonce_width,
                       check_zeros, has_leading_zeros, hash_classical,
@@ -373,15 +373,6 @@ def enumerate_solutions(header_blocks: Sequence[int], hash_params: HashParams,
 
 
 # -- the miner -------------------------------------------------------------------
-
-
-def sample_readout(dist: np.ndarray, rng: np.random.Generator) -> int:
-    """An index drawn with probability ``dist / dist.sum()`` by inverse-CDF
-    sampling from one uniform draw of ``rng``: the algorithm of
-    ``rng.choice(len(dist), p=dist / dist.sum())``, without its checks of p."""
-    cdf = (dist / dist.sum()).cumsum()
-    cdf /= cdf[-1]
-    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def mine_quantum(header_blocks: Sequence[int], layout: RegisterLayout,

@@ -11,7 +11,6 @@ from X/SWAP/MCX are bit-exact and their inverses cancel exactly.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import groupby
 from typing import Iterable, Mapping, Sequence
 
@@ -19,27 +18,22 @@ import numpy as np
 
 from .circuit import Gate
 
-DEFAULT_QUBIT_CAP = 26  # 2^26 complex128 amplitudes ~ 1 GiB
-HARD_QUBIT_LIMIT = 28   # ceiling for the cap itself (4 GiB of amplitudes)
+QUBIT_CAP = 26  # 2^26 complex128 amplitudes ~ 1 GiB
 
 _SQRT1_2 = 1.0 / np.sqrt(2.0)
 
 
 class CapacityError(ValueError):
-    """Requested register exceeds the configured qubit cap."""
+    """Requested register exceeds the qubit cap."""
 
 
-@dataclass(frozen=True)
-class MeasurementOutcome:
-    """One sampled readout of a qubit register.
-
-    ``bits`` is the MSB-first rendering of ``value``; bit i of ``value``
-    is the sampled state of the i-th qubit in the measured register.
-    """
-
-    bits: str
-    value: int
-    probability: float
+def sample_readout(dist: np.ndarray, rng: np.random.Generator) -> int:
+    """An index drawn with probability ``dist / dist.sum()`` by inverse-CDF
+    sampling from one uniform draw of ``rng``: the algorithm of
+    ``rng.choice(len(dist), p=dist / dist.sum())``, without its checks of p."""
+    cdf = (dist / dist.sum()).cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def permute_labels(labels: np.ndarray, gates: Iterable[Gate]) -> np.ndarray:
@@ -82,13 +76,9 @@ class StateVector:
     gate counts are tested against.
     """
 
-    def __init__(self, num_qubits: int, *, cap: int = DEFAULT_QUBIT_CAP):
-        cap = min(cap, HARD_QUBIT_LIMIT)
-        if num_qubits < 1 or num_qubits > cap:
-            raise CapacityError(
-                f"num_qubits must be in 1..{cap} (got {num_qubits}); "
-                f"raise the cap explicitly to simulate more"
-            )
+    def __init__(self, num_qubits: int):
+        if num_qubits < 1 or num_qubits > QUBIT_CAP:
+            raise CapacityError(f"num_qubits must be in 1..{QUBIT_CAP} (got {num_qubits})")
         self.num_qubits = num_qubits
         self.amplitudes = np.zeros(1 << num_qubits, dtype=np.complex128)
         self.amplitudes[0] = 1.0
@@ -96,22 +86,10 @@ class StateVector:
 
     # -- bookkeeping -------------------------------------------------------
 
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.shape[0]
-
-    @property
-    def total_gates(self) -> int:
-        return sum(self.gate_counts.values())
-
     def reset(self) -> None:
         """Return to |0...0> without clearing the gate tally."""
         self.amplitudes[:] = 0.0
         self.amplitudes[0] = 1.0
-
-    def total_probability(self) -> float:
-        a = self.amplitudes
-        return float(np.sum(a.real * a.real + a.imag * a.imag))
 
     def _check_qubit(self, q: int) -> None:
         if not 0 <= q < self.num_qubits:
@@ -193,27 +171,24 @@ class StateVector:
         return np.bincount(values, weights=probs, minlength=1 << len(register))
 
     def measure_register(self, register: Iterable[int],
-                         rng: np.random.Generator) -> MeasurementOutcome:
-        """Sample a bitstring for ``register`` with Born-rule probability.
+                         rng: np.random.Generator) -> int:
+        """A value of ``register`` drawn with Born-rule probability (bit i
+        from register[i]) by ``sample_readout``.
 
         Non-collapsing: the state vector is left untouched, so tests can
         read exact probabilities and sample from the same state.  The rng
-        must be seeded by the caller.
+        must be seeded by the caller.  A state with no amplitude left (only
+        writing ``amplitudes`` makes one) raises ValueError.
         """
-        register = list(register)
         dist = self.register_distribution(register)
-        dist = dist / dist.sum()  # guard fp drift; errors are ~1e-16
-        value = int(rng.choice(dist.shape[0], p=dist))
-        return MeasurementOutcome(
-            bits=format(value, f"0{len(register)}b"),
-            value=value,
-            probability=float(dist[value]),
-        )
+        if not dist.sum() > 0:  # also NaN: sample_readout does not check p
+            raise ValueError("the state has no amplitude to measure")
+        return sample_readout(dist, rng)
 
 
-def new_zero_state(num_qubits: int, *, cap: int = DEFAULT_QUBIT_CAP) -> StateVector:
+def new_zero_state(num_qubits: int) -> StateVector:
     """Fresh |0...0> state; raises CapacityError beyond the qubit cap."""
-    return StateVector(num_qubits, cap=cap)
+    return StateVector(num_qubits)
 
 
 def assignment_for(register: Iterable[int], value: int) -> dict[int, int]:

@@ -240,11 +240,11 @@ def simulated_gates_per_iteration(nonce_bits: int, params: HashParams, zeros: in
     layout = RegisterLayout.standard(nonce_bits, params.digest_bits)
     state = new_zero_state(layout.total_qubits)
     prepare(state, layout)
-    before = state.total_gates
+    before = sum(state.gate_counts.values())
     grover_iteration(state, layout,
                      build_hash_circuit(layout, list(header_blocks), params),
                      build_oracle(layout, zeros), build_diffusion(layout))
-    return state.total_gates - before
+    return sum(state.gate_counts.values()) - before
 
 
 def set_register(state: StateVector, qubits, value: int) -> None:
@@ -341,8 +341,8 @@ def dense_register_distribution(state: StateVector, register) -> np.ndarray:
         state._check_qubit(q)
     a = state.amplitudes
     probs = a.real * a.real + a.imag * a.imag
-    idx = np.arange(state.dim, dtype=np.int64)
-    values = np.zeros(state.dim, dtype=np.int64)
+    idx = np.arange(len(state.amplitudes), dtype=np.int64)
+    values = np.zeros(len(state.amplitudes), dtype=np.int64)
     for pos, q in enumerate(register):
         values |= ((idx >> q) & 1) << pos
     return np.bincount(values, weights=probs, minlength=1 << len(register))
@@ -356,7 +356,8 @@ def reference_mine_quantum(header_blocks, layout: RegisterLayout,
     every round prepares a fresh state and applies hash, oracle, unhash and
     diffusion through ``apply_gates``; the solution mass comes from the
     classical solution list and the sampled readout draws from the nonce
-    ``distribution`` as ``StateVector.measure_register`` does."""
+    ``distribution`` with ``Generator.choice``, which ``sample_readout``
+    equals, so the engine's sampler is checked against an independent draw."""
     n = len(layout.nonce)
     hp, zeros = params.hash_params, params.difficulty_zeros
     hash_circuit = build_hash_circuit(layout, list(header_blocks), hp)
@@ -388,7 +389,7 @@ def reference_mine_quantum(header_blocks, layout: RegisterLayout,
     def result(value, mass, digest, used, hashes):
         return MiningResult(value, format(value, f"0{n}b"), digest,
                             digest.meets_difficulty(zeros), used, mass,
-                            state.total_gates, hashes)
+                            sum(state.gate_counts.values()), hashes)
 
     if params.solution_count_hint is not None:
         k = iteration_count(n, params.solution_count_hint)

@@ -87,6 +87,22 @@ class TestMineCommand:
         assert code == EXIT_USAGE
         assert "nonce_bits must be in 1..8, got 9" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, readout", [("--exact", "argmax"),
+                                               ("--no-exact", "sampled")])
+    def test_quantum_line_names_its_readout(self, capsys, flag, readout):
+        main(["mine", *BASE, "--mode", "both", flag])
+        lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("[")]
+        assert lines[0].startswith("[classical]") and "readout=" not in lines[0]
+        assert lines[1].startswith("[quantum]")
+        assert re.search(rf" verify_hashes=\d+ readout={readout}$", lines[1])
+
+    @pytest.mark.parametrize("flag", ["--prev", "--payload"])
+    @pytest.mark.parametrize("value", ["0x0b", "-3", "2_9", " 29 "])
+    def test_hex_flag_takes_only_hex_digits(self, capsys, flag, value):
+        assert main(["mine", *BASE, f"{flag}={value}"]) == EXIT_USAGE
+        assert (capsys.readouterr().err
+                == f"error: invalid value for {flag[2:]}: {value!r}\n")
+
     def test_quantum_mine_past_the_state_vector_cap(self, capsys):
         # 33 qubits: mining keeps 2^16 amplitudes, never the 2^33-entry state
         code = main(["mine", "--n", "16", "--m", "16", "--zeros", "8",
@@ -139,10 +155,10 @@ class TestMineCommand:
         assert capsys.readouterr().out == GOLDEN_CHAIN_SHOW.replace(
             "0     00       1b", "0     1ffff    1b")
 
-    @pytest.mark.parametrize("nonce", ["10", "fff", "-3"])
+    @pytest.mark.parametrize("nonce", ["10", "fff"])
     def test_out_of_range_nonce_is_one_invalid_block(self, tmp_path, capsys, nonce):
         # n=4, m=8: 0x10 fits a sponge block but not the nonce register;
-        # 0xfff and -3 fit neither and must not reach the hash
+        # 0xfff fits neither and must not reach the hash
         chain_file = tmp_path / "chain.json"
         save_chain(valid_chain(1), chain_file)
         payload = json.loads(chain_file.read_text())
@@ -386,8 +402,17 @@ class TestMalformedInput:
          "expected a hex string, got 'zz'"),
         (lambda p: {**p, "blocks": [{**p["blocks"][0], "digest": 5}]},
          "expected a hex string, got 5"),
+        (lambda p: {**p, "blocks": [{**p["blocks"][0], "digest": "0x29"}]},
+         "expected a hex string, got '0x29'"),
+        (lambda p: {**p, "blocks": [{**p["blocks"][0], "nonce": "-3"}]},
+         "expected a hex string, got '-3'"),
+        (lambda p: {**p, "blocks": [{**p["blocks"][0], "prev_digest": "2_9"}]},
+         "expected a hex string, got '2_9'"),
+        (lambda p: {**p, "blocks": [{**p["blocks"][0], "payload_digest": " 29 "}]},
+         "expected a hex string, got ' 29 '"),
     ], ids=["float-rounds", "string-true-chi", "huge-nonce-bits",
-            "string-timestamp", "non-hex-nonce", "int-digest"])
+            "string-timestamp", "non-hex-nonce", "int-digest", "prefixed-digest",
+            "signed-nonce", "underscored-prev", "spaced-payload"])
     def test_mistyped_chain_value(self, tmp_path, capsys, edit, text):
         chain_file = self.write_chain(tmp_path, edit)
         self.assert_usage_error(capsys, ["chain", "validate", "--chain-file",
@@ -407,10 +432,11 @@ class TestMalformedInput:
         ({"n": 4.7}, "n"),
         ({"n": True}, "n"),
         ({"prev": 128}, "prev"),
+        ({"prev": "0x10"}, "prev: '0x10'"),
         ({"csv_out": 5}, "csv_out"),
         ({"seed": -1}, "seed: -1"),
     ], ids=["string-exact", "string-true-chi", "float-n", "bool-n", "int-prev",
-            "int-csv-out", "negative-seed"])
+            "prefixed-prev", "int-csv-out", "negative-seed"])
     def test_mistyped_config_value(self, tmp_path, capsys, config, key):
         path = tmp_path / "run.json"
         path.write_text(json.dumps({"mode": "classical", **config}))

@@ -130,7 +130,7 @@ class TestOracle:
         state = minus_functional_state(layout)
         before = state.amplitudes.copy()
         apply_circuit(state, build_oracle(layout, 1))
-        for index in range(state.dim):
+        for index in range(len(state.amplitudes)):
             h = (index >> 1) & 0b11
             expected = -before[index] if h in (0b00, 0b01) else before[index]
             assert state.amplitudes[index] == pytest.approx(expected, abs=1e-12)
@@ -150,7 +150,7 @@ class TestOracle:
         state = minus_functional_state(layout)
         before = state.amplitudes.copy()
         apply_circuit(state, build_oracle(layout, 2))
-        for index in range(state.dim):
+        for index in range(len(state.amplitudes)):
             h = (index >> 1) & 0b11
             expected = -before[index] if h == 0 else before[index]
             assert state.amplitudes[index] == pytest.approx(expected, abs=1e-12)
@@ -174,7 +174,7 @@ class TestDiffusion:
         layout = RegisterLayout.standard(2, 4)
         state = new_zero_state(layout.total_qubits)
         apply_circuit(state, build_diffusion(layout))
-        expected = np.zeros(state.dim, dtype=complex)
+        expected = np.zeros(len(state.amplitudes), dtype=complex)
         expected[0b00] = -0.5
         expected[0b01] = expected[0b10] = expected[0b11] = 0.5
         assert max_global_phase_deviation(expected, state.amplitudes) < 1e-12
@@ -358,7 +358,7 @@ class TestGroverLaw:
         diffusion = build_diffusion(layout)
         state = new_zero_state(layout.total_qubits)
         prepare(state, layout)
-        half = state.dim // 2
+        half = len(state.amplitudes) // 2
         for _ in range(iteration_count(3, 1)):
             grover_iteration(state, layout, hash_circuit, oracle, diffusion)
             assert state.probability_of(
