@@ -124,7 +124,7 @@ ESTIMATE_OPTIONS = (
 )
 
 
-DESK_OPTIONS = (  # resolved only with --measured
+DESK_OPTIONS = (  # resolved only with --measured; as flags, refused without it
     _opt("measure_n", 4, json_int, type=int,
          help="desk-scale nonce bits for --measured (default 4)"),
     _opt("m", 8, json_int, type=int, help="desk-scale digest bits for --measured"),
@@ -336,6 +336,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         layout = RegisterLayout.standard(args.measure_n, hp.digest_bits)
         args.gates_per_iteration = gates_per_iteration(layout, [0, 0, 0, 0], hp)
         source = f"measured at n={args.measure_n} m={hp.digest_bits} rounds={hp.rounds}"
+    elif any(getattr(args, name) is not None for name, *_ in DESK_OPTIONS):
+        raise ValueError("--measure-n, --m and --rounds apply only with --measured")
 
     est = estimate_resources(args.n, args.hash_rate, args.gate_time,
                              args.gates_per_iteration)

@@ -178,15 +178,15 @@ class SearchProblem:
 
     Between iterations the state is sum_v b_v |v>|0...0>|-> (its functional
     |1> branch is exactly -b), so hash, oracle and unhash only negate b on
-    the ``marked`` nonces, marks[absorb ^ prefix] (``_cached_search_tables``)
-    for the sponge state the header leaves.  The diffusion circuit is
-    1 - 2|s><s| on the nonce register.  Both keep all marked nonces at one
-    amplitude and all others at another, so ``distribution`` follows those
-    two, not b.  ``prefix`` is the sponge state after the header, which
-    ``build`` reads off the round table; ``hash_classical([prefix ^ v])`` is
-    nonce v's digest.  The circuits come from ``build_hash_circuit``,
-    ``build_oracle`` and ``build_diffusion``, their gate count from
-    ``gates_per_iteration``."""
+    the ``marked`` nonces v, marks[prefix ^ v] (``_cached_search_tables``),
+    as the sponge absorbs v into the state the header leaves.  The diffusion
+    circuit is 1 - 2|s><s| on the nonce register.  Both keep all marked
+    nonces at one amplitude and all others at another, so ``distribution``
+    follows those two, not b.  ``prefix`` is the sponge state after the
+    header, which ``build`` reads off the round table;
+    ``hash_classical([prefix ^ v])`` is nonce v's digest.  The circuits come
+    from ``build_hash_circuit``, ``build_oracle`` and ``build_diffusion``,
+    their gate count from ``gates_per_iteration``."""
 
     prefix: int
     marked: np.ndarray
@@ -196,11 +196,11 @@ class SearchProblem:
               hash_params: HashParams, zeros: int) -> "SearchProblem":
         _check_layout(layout, hash_params)
         header_blocks = tuple(check_block(b, hash_params) for b in header_blocks)
-        forward, absorb, marks = _cached_search_tables(layout, hash_params, zeros)
+        forward, nonces, marks = _cached_search_tables(layout, hash_params, zeros)
         prefix = 0  # header_prefix, one table lookup per block
         for block in header_blocks:
             prefix = int(forward[prefix ^ block])
-        return SearchProblem(prefix, marks[absorb ^ prefix])
+        return SearchProblem(prefix, marks[nonces ^ prefix])
 
     @cached_property
     def _walked(self) -> list:  # [k, A, C] of the last distribution call
@@ -238,45 +238,34 @@ def gates_per_iteration(layout: RegisterLayout, header_blocks: Sequence[int],
 @lru_cache(maxsize=8)
 def _cached_search_tables(layout: RegisterLayout, hash_params: HashParams,
                           zeros: int) -> tuple:
-    """The round table ``forward``, where the r rounds every hash circuit
-    repeats move each hash value, and, read off the gates, ``absorb``, what
-    the nonce CNOTs XOR into nonce v's hash field, and ``marks``, whether the
-    oracle fires on field forward[x].  Hash and oracle then flip nonce v iff
-    marks[absorb[v] ^ prefix] and the unhash clears the field, provided the
-    CNOTs read only nonce qubits and write only the hash field and the oracle
-    reads only that field and writes only the functional qubit."""
+    """The engine's tables, read off the cached gates, read-only: ``forward``,
+    where the r rounds every hash circuit repeats move each hash value, in
+    the narrowest unsigned dtype; ``nonces``, 0..2^n - 1; and ``marks``,
+    whether the oracle fires on field forward[x].  The nonce CNOTs copy
+    nonce v into the field's low bits, as the sponge absorbs v into state s
+    as s ^ v, so hash and oracle flip nonce v iff marks[prefix ^ v] and the
+    unhash clears the field, provided the rounds act only on the field, the
+    CNOTs read only nonce qubits and copy v, and every oracle gate reads only
+    the field and writes only the functional qubit."""
     oracle = build_oracle(layout, zeros).gates  # checks zeros before any table
     cnots, rounds = _shared_gates(layout.nonce, layout.hash, hash_params, ())
-    forward = _register_table(rounds, layout.hash)
-    low, functional = layout.hash[0], 1 << layout.functional
-    nonce_mask, field = (1 << len(layout.nonce)) - 1, (len(forward) - 1) << low
-    nonces, values = np.arange(nonce_mask + 1), np.arange(len(forward)) << low
-    labels = np.concatenate((values, values | functional))
-    absorbed = permute_labels(nonces, cnots) ^ nonces
-    flipped = permute_labels(labels, oracle) ^ labels
+    low, width, functional = layout.hash[0], len(layout.hash), layout.functional
+    if any(g.mask >> low + width or g.mask & (1 << low) - 1 for g in rounds):
+        raise ValueError("the gate block acts outside the hash register")
+    nonce_mask, field = (1 << len(layout.nonce)) - 1, (1 << width) - 1 << low
+    nonces, values = np.arange(nonce_mask + 1), np.arange(1 << width) << low
     if (any(g.kind == "SWAP" or g.mask & ~(nonce_mask | 1 << g.targets[0]) for g in cnots)
-            or (absorbed & ~field).any()
-            or any(g.mask & ~(field | functional) for g in oracle)
-            or (flipped & ~functional).any()):
+            or not np.array_equal(permute_labels(nonces, cnots), nonces | nonces << low)
+            or any(g.targets != (functional,) or g.mask & ~(field | 1 << functional)
+                   for g in oracle)):
         raise ValueError("hash, oracle and unhash must return every nonce "
                          "with the hash and service registers at |0...0>")
-    absorb, marks = absorbed >> low, (flipped[:len(values)] != 0)[forward]
-    for table in (absorb, marks):
+    forward = permute_labels(values, rounds) >> low
+    forward = forward.astype(np.min_scalar_type((1 << width) - 1))
+    marks = (permute_labels(values, oracle) & 1 << functional != 0)[forward]
+    for table in (forward, nonces, marks):
         table.setflags(write=False)
-    return forward, absorb, marks
-
-
-def _register_table(gates: Sequence[Gate], register: Sequence[int]) -> np.ndarray:
-    """Entry v is the value that X/SWAP/MCX ``gates`` move value v of the
-    contiguous ``register`` to, read off the gates in one pass over all
-    2^len(register) values; read-only, in the narrowest unsigned dtype."""
-    low, width = register[0], len(register)
-    if any(g.mask >> low + width or g.mask & (1 << low) - 1 for g in gates):
-        raise ValueError("the gate block acts outside the hash register")
-    values = permute_labels(np.arange(1 << width) << low, gates) >> low
-    table = values.astype(np.min_scalar_type((1 << width) - 1))
-    table.setflags(write=False)
-    return table
+    return forward, nonces, marks
 
 
 # -- schedules and analysis ------------------------------------------------------

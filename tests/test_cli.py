@@ -410,13 +410,23 @@ class TestMalformedInput:
          "expected a hex string, got '2_9'"),
         (lambda p: {**p, "blocks": [{**p["blocks"][0], "payload_digest": " 29 "}]},
          "expected a hex string, got ' 29 '"),
+        (lambda p: {**p, "blocks": [{**p["blocks"][0], "digest": "1ff"}]},
+         "digest value 0x1ff does not fit in 8 bits"),
     ], ids=["float-rounds", "string-true-chi", "huge-nonce-bits",
             "string-timestamp", "non-hex-nonce", "int-digest", "prefixed-digest",
-            "signed-nonce", "underscored-prev", "spaced-payload"])
+            "signed-nonce", "underscored-prev", "spaced-payload", "wide-digest"])
     def test_mistyped_chain_value(self, tmp_path, capsys, edit, text):
         chain_file = self.write_chain(tmp_path, edit)
         self.assert_usage_error(capsys, ["chain", "validate", "--chain-file",
                                          chain_file], text)
+
+    @pytest.mark.parametrize("flags", [["--rounds", "3"], ["--n", "5"]],
+                             ids=["other-rounds", "other-nonce-width"])
+    def test_chain_file_built_with_other_parameters(self, tmp_path, capsys, flags):
+        chain_file = self.write_chain(tmp_path, lambda p: p)  # n=4, m=8, rounds=2
+        self.assert_usage_error(capsys, ["mine", *SWEEP_BASE, *flags, "--mode", "classical",
+                                         "--chain-file", chain_file],
+                                f"chain file {chain_file} was built with different parameters")
 
     @pytest.mark.parametrize("command", ["chain", "mine"])
     def test_deeply_nested_file(self, tmp_path, capsys, command):
@@ -435,12 +445,17 @@ class TestMalformedInput:
         ({"prev": "0x10"}, "prev: '0x10'"),
         ({"csv_out": 5}, "csv_out"),
         ({"seed": -1}, "seed: -1"),
+        ({"hash_rate": "fast"}, "hash_rate: 'fast'"),
+        ({"gate_time": True}, "gate_time: True"),
     ], ids=["string-exact", "string-true-chi", "float-n", "bool-n", "int-prev",
-            "prefixed-prev", "int-csv-out", "negative-seed"])
+            "prefixed-prev", "int-csv-out", "negative-seed", "string-hash-rate",
+            "bool-gate-time"])
     def test_mistyped_config_value(self, tmp_path, capsys, config, key):
+        # mine does not read estimate's keys, so those go through estimate
+        command = "estimate" if key.startswith(("hash_rate", "gate_time")) else "mine"
         path = tmp_path / "run.json"
         path.write_text(json.dumps({"mode": "classical", **config}))
-        self.assert_usage_error(capsys, ["mine", "--config", str(path)],
+        self.assert_usage_error(capsys, [command, "--config", str(path)],
                                 f"invalid value for {key}")
 
     @pytest.mark.parametrize("mode", ["classical", "quantum", "both"])
@@ -776,6 +791,15 @@ def test_python_m_qmine_runs_the_cli_without_warnings(monkeypatch, capsys):
 
 
 class TestEstimateCommand:
+    DESK_FLAGS = [["--measure-n", "3"], ["--m", "12"], ["--rounds", "3"]]
+
+    @staticmethod
+    def with_config(tmp_path, argv, config):
+        if config is None:
+            return argv
+        (tmp_path / "run.json").write_text(json.dumps(config))
+        return [*argv, "--config", str(tmp_path / "run.json")]
+
     def test_defaults_match_published_figures(self, capsys):
         assert main(["estimate"]) == EXIT_OK
         out = capsys.readouterr().out
@@ -812,8 +836,8 @@ class TestEstimateCommand:
         def refuse(*args, **kwargs):
             raise AssertionError("built to count")
 
-        for name in ("_register_table", "_cached_search_tables", "build_hash_circuit",
-                     "build_oracle", "build_diffusion"):
+        for name in ("_cached_search_tables", "build_hash_circuit", "build_oracle",
+                     "build_diffusion"):
             monkeypatch.setattr(qmine.miner, name, refuse)
         monkeypatch.setattr(SearchProblem, "build", refuse)
         assert main(["estimate", "--measured", *flags]) == EXIT_OK
@@ -826,14 +850,29 @@ class TestEstimateCommand:
     ], ids=["flags", "config-gates", "config-measured"])
     def test_measured_refuses_given_gates(self, tmp_path, capsys, flags, config):
         # a given count is not dropped in favour of the measured one
-        argv = ["estimate", *flags]
-        if config is not None:
-            (tmp_path / "run.json").write_text(json.dumps(config))
-            argv += ["--config", str(tmp_path / "run.json")]
-        assert main(argv) == EXIT_USAGE
+        assert main(self.with_config(tmp_path, ["estimate", *flags], config)) == EXIT_USAGE
         assert capsys.readouterr() == (
             "", "error: gates_per_iteration and measured exclude each other: "
                 "--measured counts the gates itself\n")
+
+    @pytest.mark.parametrize("flags", DESK_FLAGS + [["--m", "99"]],
+                             ids=["measure-n", "m", "rounds", "m-out-of-range"])
+    @pytest.mark.parametrize("measured, config", [
+        ([], None), ([], {"measured": False}), (["--no-measured"], {"measured": True}),
+    ], ids=["unset", "config-false", "flag-false"])
+    def test_desk_flags_need_measured(self, tmp_path, capsys, flags, measured, config):
+        # nothing is measured, so a desk-scale flag is refused, not dropped;
+        # the config keys of those names stay shareable with mine
+        argv = self.with_config(tmp_path, ["estimate", *measured, *flags], config)
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr() == (
+            "", "error: --measure-n, --m and --rounds apply only with --measured\n")
+
+    @pytest.mark.parametrize("flags", DESK_FLAGS, ids=["measure-n", "m", "rounds"])
+    def test_desk_flags_with_measured_in_config(self, tmp_path, capsys, flags):
+        argv = self.with_config(tmp_path, ["estimate", *flags], {"measured": True})
+        assert main(argv) == EXIT_OK
+        assert "(measured at n=" in capsys.readouterr().out
 
     def test_measured_mode_beyond_the_qubit_cap(self, capsys):
         # 16 + 16 + 1 = 33 qubits: counted from the builders, never simulated

@@ -233,6 +233,12 @@ class TestGroverIteration:
         assert state.probability_of(assignment_for(layout.hash, 0)) == pytest.approx(
             1.0, abs=1e-12)
 
+    def test_layout_wider_than_the_state(self):
+        layout, _, circuits, _, _ = self.setup_run(2, 4, 1, 2, 1)
+        state = new_zero_state(layout.total_qubits - 1)
+        with pytest.raises(ValueError, match="^layout does not fit the state$"):
+            grover_iteration(state, layout, *circuits)
+
     def test_all_marked_keeps_uniform(self):
         layout, state, circuits, header, _ = self.setup_run(2, 4, 1, 2, 1)
         params = HashParams(4, 1)
@@ -732,16 +738,18 @@ class TestNonceAxisEngine:
         assert problem.marked.any() and not np.array_equal(problem.marked, solutions)
 
     def test_build_rejects_an_unhash_that_does_not_unwind(self, monkeypatch, cold_caches):
-        # a nonce CNOT that reads a hash qubit or writes outside the hash
-        # field, or an oracle that writes outside the functional qubit or
-        # reads outside the hash field, breaks the tables' premise
+        # a nonce CNOT that reads a hash qubit, writes outside the hash field
+        # or copies a nonce bit into a second hash bit, or an oracle gate
+        # that writes outside the functional qubit or reads outside the hash
+        # field, breaks the tables' premise that the field absorbs prefix ^ v
         layout = RegisterLayout.standard(4, 8)
         h, functional = layout.hash, layout.functional
         shared_gates, build_oracle_ = qmine.miner._shared_gates, qmine.miner.build_oracle
         cnot_corruptions = [Gate.cnot(h[0], h[1]), Gate.cnot(0, 1), Gate.cnot(0, functional),
-                            Gate.swap(h[0], 0), Gate.swap(h[0], h[1])]
+                            Gate.swap(h[0], 0), Gate.swap(h[0], h[1]), Gate.cnot(h[4], h[0]),
+                            Gate.cnot(0, h[1])]
         oracle_corruptions = [Gate.x(h[2]), Gate.cnot(h[0], 1), Gate.cnot(1, functional),
-                              Gate.cnot(functional, h[0])]
+                              Gate.cnot(functional, h[0]), Gate.swap(functional, h[0])]
         for extra in cnot_corruptions + oracle_corruptions:
             def gates(*args):
                 cnots, rounds = shared_gates(*args)
@@ -837,13 +845,20 @@ class TestFusedCompile:
                                 HashParams(16, 8), 17)
         assert rounds == [] and labels == []
 
-    def test_a_block_outside_the_hash_register_is_rejected(self):
+    def test_a_block_outside_the_hash_register_is_rejected(self, monkeypatch,
+                                                           cold_caches):
         layout = RegisterLayout.standard(2, 4)  # nonce 0-1, hash 2-5, functional 6
-        inside = [Gate.cnot(2, 5), Gate.swap(3, 4), Gate.x(2)]
-        assert qmine.miner._register_table(inside, layout.hash).dtype == np.uint8
+        params, tables = HashParams(4, 1), qmine.miner._cached_search_tables
+        cnots = qmine.miner._shared_gates(layout.nonce, layout.hash, params, ())[0]
+        inside = (Gate.cnot(2, 5), Gate.swap(3, 4), Gate.x(2))
+        monkeypatch.setattr(qmine.miner, "_shared_gates", lambda *args: (cnots, inside))
+        assert tables(layout, params, 2)[0].dtype == np.uint8
         for outside in (Gate.x(1), Gate.cnot(0, 3), Gate.cnot(5, 6), Gate.swap(5, 6)):
+            monkeypatch.setattr(qmine.miner, "_shared_gates",
+                                lambda *args, block=inside + (outside,): (cnots, block))
+            tables.cache_clear()
             with pytest.raises(ValueError, match="outside the hash register"):
-                qmine.miner._register_table(inside + [outside], layout.hash)
+                SearchProblem.build([0x1], layout, params, 2)
 
     @pytest.mark.parametrize("m", range(4, 17))
     @pytest.mark.parametrize("rounds", range(1, 9))
