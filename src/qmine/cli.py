@@ -187,16 +187,17 @@ def _fmt(x: float) -> str:
     return format(x, ".12g")
 
 
-def _dump_circuits(path: str, layout: RegisterLayout, blocks: Sequence[int],
-                   hp: HashParams, zeros: int) -> None:
+def _dump_circuits(cfg: argparse.Namespace, blocks: Sequence[int]) -> None:
+    if not cfg.dump_circuits:
+        return
     parts = []
-    for label, circuit in (("hash", build_hash_circuit(layout, blocks, hp)),
-                           ("oracle", build_oracle(layout, zeros)),
-                           ("diffusion", build_diffusion(layout))):
+    for label, circuit in (("hash", build_hash_circuit(cfg.layout, blocks, cfg.hash_params)),
+                           ("oracle", build_oracle(cfg.layout, cfg.zeros)),
+                           ("diffusion", build_diffusion(cfg.layout))):
         parts.append(f"# {label}")
         parts.append(format_circuit(circuit))
         parts.append("")
-    Path(path).write_text("\n".join(parts))
+    Path(cfg.dump_circuits).write_text("\n".join(parts))
 
 
 def _write_csv(path: str | None, header: list[str], rows: list[list]) -> None:
@@ -243,12 +244,11 @@ def cmd_mine(cfg: argparse.Namespace) -> int:
                           max_grover_rounds=cfg.max_grover_rounds,
                           solution_count_hint=cfg.hint, rng_seed=cfg.seed)
 
+    _dump_circuits(cfg, blocks)  # the circuits are the header's, whatever the mode
     results: dict[str, MiningResult] = {}
     if cfg.mode in ("classical", "both"):
         results["classical"] = mine_classical(blocks, params, cfg.n)
     if cfg.mode in ("quantum", "both"):
-        if cfg.dump_circuits:
-            _dump_circuits(cfg.dump_circuits, cfg.layout, blocks, hp, cfg.zeros)
         results["quantum"] = mine_quantum(blocks, cfg.layout, params, exact_readout=cfg.exact)
 
     print(f"difficulty: top {cfg.zeros} of {cfg.m} digest bits must be zero "
@@ -307,8 +307,7 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
         k_max = iteration_count(cfg.n, count)
 
     problem = SearchProblem.build(blocks, cfg.layout, hp, cfg.zeros)
-    if cfg.dump_circuits:
-        _dump_circuits(cfg.dump_circuits, cfg.layout, blocks, hp, cfg.zeros)
+    _dump_circuits(cfg, blocks)
 
     rows = []
     for k in range(k_max + 1):  # each k takes one step of the recurrence

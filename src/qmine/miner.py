@@ -248,7 +248,7 @@ def _cached_search_tables(layout: RegisterLayout, hash_params: HashParams,
     CNOTs read only nonce qubits and copy v, and every oracle gate reads only
     the field and writes only the functional qubit."""
     oracle = build_oracle(layout, zeros).gates  # checks zeros before any table
-    cnots, rounds = _shared_gates(layout.nonce, layout.hash, hash_params, ())
+    cnots, rounds = _shared_gates(layout.nonce, layout.hash, hash_params)
     low, width, functional = layout.hash[0], len(layout.hash), layout.functional
     if any(g.mask >> low + width or g.mask & (1 << low) - 1 for g in rounds):
         raise ValueError("the gate block acts outside the hash register")
@@ -329,6 +329,9 @@ def estimate_resources(nonce_bits: int, hash_rate: float, gate_time: float,
     if quantum_gate_count.bit_length() > MAX_ESTIMATE_BITS:
         raise ValueError("gates per iteration too large: the projected gate "
                          "count overflows a float")
+    quantum_seconds = quantum_gate_count * gate_time
+    if math.inf in (classical_seconds, quantum_seconds):
+        raise ValueError("rates too extreme: the projected time overflows a float")
     return ResourceEstimate(
         classical_hashes=classical_hashes,
         classical_seconds=classical_seconds,
@@ -336,7 +339,7 @@ def estimate_resources(nonce_bits: int, hash_rate: float, gate_time: float,
         classical_days=classical_seconds / 86400.0,
         quantum_iterations=quantum_iterations,
         quantum_gate_count=quantum_gate_count,
-        quantum_seconds=quantum_gate_count * gate_time,
+        quantum_seconds=quantum_seconds,
     )
 
 

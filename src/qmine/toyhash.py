@@ -5,9 +5,9 @@ Single-rate sponge (block width = digest width) over an m-bit state,
 a direct reversible-circuit realization.  Two implementations are
 provided and must agree bit-for-bit: the classical reference
 (``hash_classical``, which checks its blocks and runs ``absorb``, the one
-sponge loop, also run on int64 arrays for ``hash_many``'s nonces and a
-chain's header columns) and the circuit
-builders that hash every nonce value in superposition.
+sponge loop from the zero state, also run on int64 arrays for ``hash_many``'s
+``prefix ^ v`` blocks and a chain's header columns) and the circuit builders
+that hash every nonce value in superposition.
 
 Round structure (sequential in-place semantics, index ascending — the
 circuit is a gate-for-gate transcription, so the classical code must
@@ -154,10 +154,11 @@ def hash_classical(message_blocks: Sequence[int], params: HashParams) -> Digest:
     return Digest(absorb(message_blocks, params), params.digest_bits)
 
 
-def absorb(blocks, params: HashParams, state=0):
-    """The sponge loop unchecked, ``state = _rounds(state ^ block)`` for each
-    block in turn: on ints, or elementwise on int64 arrays, one ``_rounds``
-    call per block whatever the arrays' length."""
+def absorb(blocks, params: HashParams):
+    """The sponge loop unchecked from the zero state, ``state = _rounds(state
+    ^ block)`` for each block in turn: on ints, or elementwise on int64
+    arrays, one ``_rounds`` call per block whatever the arrays' length."""
+    state = 0
     for block in blocks:
         state = _rounds(state ^ block, params)
     return state
@@ -172,7 +173,7 @@ def hash_many(prefix: int, values: np.ndarray, params: HashParams) -> np.ndarray
     outside = values[(values < 0) | (values > params.mask)]
     if outside.size:
         check_block(int(outside.min()), params)
-    return absorb([values], params, prefix)
+    return absorb([prefix ^ values], params)
 
 
 def check_block(block: int, params: HashParams) -> int:
@@ -187,20 +188,12 @@ def check_block(block: int, params: HashParams) -> int:
 
 
 def _emit_round(circuit: Circuit, hash_qubits: Sequence[int], round_index: int,
-                params: HashParams, service_qubits: Sequence[int] = ()) -> None:
-    # with service qubits, each chi AND is computed into a fresh scratch
-    # qubit, folded into h[i], then uncomputed; legal because the fold
-    # targets h[i], never the two operands
+                params: HashParams) -> None:
     m = params.digest_bits
     for i in range(m):
         operands = [(hash_qubits[(i + 1) % m], not params.true_chi),
                     (hash_qubits[(i + 2) % m], True)]
-        if service_qubits:
-            product = Gate.mcx(operands, service_qubits[i])
-            circuit.extend([product, Gate.cnot(service_qubits[i], hash_qubits[i]),
-                            product])
-        else:
-            circuit.append(Gate.mcx(operands, hash_qubits[i]))
+        circuit.append(Gate.mcx(operands, hash_qubits[i]))
     for i in range(m):
         circuit.append(Gate.cnot(hash_qubits[(i + 3) % m], hash_qubits[i]))
     emit_rotate_left(circuit, hash_qubits, 1)
@@ -218,28 +211,13 @@ def _check_layout(layout: "RegisterLayout", params: HashParams) -> None:
 
 @lru_cache(maxsize=8)
 def _shared_gates(nonce: tuple[int, ...], hash_qubits: tuple[int, ...],
-                  params: HashParams, service: tuple[int, ...]) -> tuple:
+                  params: HashParams) -> tuple:
     """The nonce CNOTs and all r rounds: shared by all headers."""
-    rounds = Circuit(max(nonce + hash_qubits + service) + 1)
+    rounds = Circuit(max(nonce + hash_qubits) + 1)
     for j in range(params.rounds):
-        _emit_round(rounds, hash_qubits, j, params, service)
+        _emit_round(rounds, hash_qubits, j, params)
     return (tuple(Gate.cnot(q, hash_qubits[i]) for i, q in enumerate(nonce)),
             tuple(rounds.gates))
-
-
-def _emit_absorbs(circuit: Circuit, layout: "RegisterLayout",
-                  header_blocks: Sequence[int], params: HashParams,
-                  service: tuple[int, ...] = ()) -> None:
-    nonce_cnots, rounds = _shared_gates(layout.nonce, layout.hash, params, service)
-    # header_blocks may be empty: the nonce block below is always absorbed
-    for block in header_blocks:
-        check_block(block, params)
-        circuit.extend(Gate.x(q) for i, q in enumerate(layout.hash) if (block >> i) & 1)
-        circuit.extend(rounds)
-    # the nonce is always the final block, so the header prefix above is
-    # nonce-independent and can be reused across mining attempts
-    circuit.extend(nonce_cnots)
-    circuit.extend(rounds)
 
 
 def build_hash_circuit(layout: "RegisterLayout", header_blocks: Sequence[int],
@@ -250,7 +228,16 @@ def build_hash_circuit(layout: "RegisterLayout", header_blocks: Sequence[int],
     gates — no service qubits."""
     _check_layout(layout, params)
     circuit = Circuit(layout.total_qubits, label="hash")
-    _emit_absorbs(circuit, layout, header_blocks, params)
+    nonce_cnots, rounds = _shared_gates(layout.nonce, layout.hash, params)
+    # header_blocks may be empty: the nonce block below is always absorbed
+    for block in header_blocks:
+        check_block(block, params)
+        circuit.extend(Gate.x(q) for i, q in enumerate(layout.hash) if (block >> i) & 1)
+        circuit.extend(rounds)
+    # the nonce is always the final block, so the header prefix above is
+    # nonce-independent and can be reused across mining attempts
+    circuit.extend(nonce_cnots)
+    circuit.extend(rounds)
     return circuit
 
 
@@ -269,9 +256,9 @@ def hash_gate_count(nonce_bits: int, header_blocks: Sequence[int],
 def build_hash_circuit_outofplace(layout: "RegisterLayout",
                                   header_blocks: Sequence[int],
                                   params: HashParams) -> Circuit:
-    """Demonstration variant routing every chi AND through a service
-    qubit that is uncomputed back to |0>.  Same hash-register output as
-    the in-place builder, strictly more gates; capped at digest_bits <= 4
+    """Demonstration variant: ``build_hash_circuit`` with every chi AND
+    routed through a service qubit that is uncomputed back to |0>.  Same
+    hash-register output, strictly more gates; capped at digest_bits <= 4
     and rounds == 1 to keep the register total at desk scale."""
     _check_layout(layout, params)
     if params.digest_bits > OUTOFPLACE_MAX_DIGEST_BITS:
@@ -284,5 +271,13 @@ def build_hash_circuit_outofplace(layout: "RegisterLayout",
         raise ValueError(f"need {params.digest_bits} service qubits, "
                          f"layout has {len(layout.service)}")
     circuit = Circuit(layout.total_qubits, label="hash-outofplace")
-    _emit_absorbs(circuit, layout, header_blocks, params, layout.service)
+    for gate in build_hash_circuit(layout, header_blocks, params).gates:
+        # each chi AND is computed into a fresh scratch qubit, folded into h[i],
+        # then uncomputed; legal because the fold targets h[i], never the two operands
+        if gate.kind == "MCX" and len(gate.controls) == 2:
+            scratch = layout.service[gate.targets[0] - layout.hash[0]]
+            product = Gate.mcx(gate.controls, scratch)
+            circuit.extend([product, Gate.cnot(scratch, gate.targets[0]), product])
+        else:
+            circuit.append(gate)
     return circuit

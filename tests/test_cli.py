@@ -266,6 +266,17 @@ class TestMineCommand:
         assert code == EXIT_OK
         assert dump.read_bytes() == (DATA / "golden_mine_dump.txt").read_bytes()
 
+    def test_every_mode_dumps_the_same_circuits(self, tmp_path, capsys):
+        # the circuits are the header's, so a classical mine dumps them too
+        argv = ["mine", "--n", "4", "--m", "8", "--rounds", "2", "--zeros", "4",
+                "--payload", "5a", "--timestamp", "3"]
+        for mode in ("classical", "quantum", "both"):
+            main([*argv, "--mode", mode, "--dump-circuits", str(tmp_path / f"{mode}.txt")])
+        capsys.readouterr()
+        golden = (DATA / "golden_mine_dump.txt").read_bytes()
+        for mode in ("classical", "quantum", "both"):
+            assert (tmp_path / f"{mode}.txt").read_bytes() == golden, mode
+
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         payload, ts, solutions = find_cli_header(4, 8, 2, 4, 1)
         config = tmp_path / "run.json"
@@ -482,6 +493,15 @@ class TestMalformedInput:
         self.assert_usage_error(capsys, ["mine", "--config", str(config)],
                                 "invalid value for hint: None")
 
+    @pytest.mark.parametrize("mode", ["classical", "quantum", "both"])
+    def test_unwritable_dump_exits_before_mining(self, tmp_path, capsys, mode):
+        chain_file = tmp_path / "chain.json"
+        code = main(["mine", *BASE, "--mode", mode, "--chain-file", str(chain_file),
+                     "--dump-circuits", str(tmp_path / "missing" / "c.txt")])
+        out, err = capsys.readouterr()
+        assert (code, out, err.count("\n")) == (EXIT_USAGE, "", 1) and "c.txt" in err
+        assert not chain_file.exists()
+
     def test_negative_k_max(self, tmp_path, capsys):
         csv_file = tmp_path / "sweep.csv"
         self.assert_usage_error(capsys, ["sweep", *SWEEP_BASE, "--k-max", "-1",
@@ -493,10 +513,13 @@ class TestMalformedInput:
         (["--n", "10000000000"], "got 10000000000"),  # checked before 2^n is built
         (["--n", "1023", "--gates-per-iteration", str(10 ** 200)],
          "overflows a float"),
+        (["--hash-rate", "1e-320"], "the projected time overflows a float"),
+        (["--gate-time", "1e308", "--gates-per-iteration", "1000000000"],
+         "the projected time overflows a float"),
         (["--hash-rate", "nan"], "positive and finite"),
         (["--gate-time", "inf"], "positive and finite"),
-    ], ids=["n-1024", "n-ten-billion", "huge-gates-per-iteration", "nan-hash-rate",
-            "infinite-gate-time"])
+    ], ids=["n-1024", "n-ten-billion", "huge-gates-per-iteration", "tiny-hash-rate",
+            "huge-gate-time", "nan-hash-rate", "infinite-gate-time"])
     def test_estimate_out_of_float_range(self, capsys, flags, text):
         self.assert_usage_error(capsys, ["estimate", *flags], text)
 
@@ -903,3 +926,9 @@ class TestEstimateCommand:
     def test_bad_rate_rejected(self):
         with pytest.raises(ValueError):
             estimate_resources(8, 0, 1e-9, 1)
+
+    def test_projected_time_past_a_float_rejected(self):
+        # finite rates whose projected seconds are inf, classical then quantum
+        for args in ((32, 1e-320, 1e-9, 1), (32, 7e6, 1e308, 10 ** 9)):
+            with pytest.raises(ValueError, match="the projected time overflows a float"):
+                estimate_resources(*args)

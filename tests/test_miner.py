@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from qmine import (Gate, HashParams, MiningParams, RegisterLayout, SearchProblem,
                    StateVector, analytic_success_probability, apply_circuit, assignment_for,
-                   build_diffusion, build_hash_circuit, build_oracle,
-                   enumerate_solutions, format_circuit, grover_iteration,
+                   build_diffusion, build_hash_circuit, build_hash_circuit_outofplace,
+                   build_oracle, enumerate_solutions, format_circuit, grover_iteration,
                    hash_classical, invert, iteration_count, mine_classical,
                    mine_quantum, new_zero_state, prepare)
 import qmine.circuit
@@ -21,7 +21,7 @@ from helpers import (assert_matches_reference, count_recurrence_steps, count_rou
                      find_header_with_count, max_global_phase_deviation, reference_compile,
                      reference_enumerate_solutions, reference_hash_circuit,
                      reference_mine_classical, reference_mine_quantum,
-                     reference_run, simulated_gates_per_iteration)
+                     reference_run, set_register, simulated_gates_per_iteration)
 
 HP82 = HashParams(8, 2)
 
@@ -712,20 +712,7 @@ class TestNonceAxisEngine:
         n, m, zeros = 5, 8, 2
         header = [0x51, 0x3B, 0x00, 0x07]
         layout = RegisterLayout.standard(n, m)
-        emit_round = qmine.toyhash._emit_round
-
-        def corrupted(circuit, *args):
-            start = len(circuit.gates)
-            emit_round(circuit, *args)
-            gates = circuit.gates[start:]
-            drop = next(i for i, g in enumerate(gates) if g.kind == "X")
-            flip = next(i for i, g in enumerate(gates) if g.kind == "MCX")
-            (q, positive), *rest = gates[flip].controls
-            gates[flip] = Gate.mcx([(q, not positive), *rest], gates[flip].targets[0])
-            del gates[drop]
-            circuit.gates[start:] = gates
-
-        monkeypatch.setattr(qmine.toyhash, "_emit_round", corrupted)
+        corrupt_every_round(monkeypatch)
         problem = SearchProblem.build(header, layout, HP82, zeros)
         state = new_zero_state(layout.total_qubits)
         prepare(state, layout)
@@ -736,6 +723,32 @@ class TestNonceAxisEngine:
         solutions = np.zeros(1 << n, dtype=bool)
         solutions[enumerate_solutions(header, HP82, n, zeros)] = True
         assert problem.marked.any() and not np.array_equal(problem.marked, solutions)
+
+    @pytest.mark.parametrize("true_chi", [False, True])
+    def test_out_of_place_follows_a_corrupted_hash_circuit(self, monkeypatch, cold_caches,
+                                                           true_chi):
+        # the out-of-place circuit is the in-place one with each chi AND
+        # routed through a service qubit, so it hashes every nonce as the
+        # corrupted in-place circuit does and still uncomputes its service
+        n, params, header = 3, HashParams(4, 1, true_chi), [0x3, 0xC]
+        layout = RegisterLayout.standard(n, 4, 4)
+        corrupt_every_round(monkeypatch)
+        in_place = build_hash_circuit(layout, header, params)
+        out_of_place = build_hash_circuit_outofplace(layout, header, params)
+        assert format_circuit(in_place) != format_circuit(
+            reference_hash_circuit(layout, header, params))
+        nonce_mask, service_mask = (sum(1 << q for q in register)
+                                    for register in (layout.nonce, layout.service))
+        for v in range(1 << n):
+            indices = []
+            for circuit in (in_place, out_of_place):
+                state = new_zero_state(layout.total_qubits)
+                set_register(state, layout.nonce, v)
+                apply_circuit(state, circuit)
+                indices.append(int(np.argmax(np.abs(state.amplitudes))))
+                assert abs(state.amplitudes[indices[-1]]) == pytest.approx(1)
+            assert indices[0] == indices[1], v
+            assert (indices[1] & nonce_mask, indices[1] & service_mask) == (v, 0)
 
     def test_build_rejects_an_unhash_that_does_not_unwind(self, monkeypatch, cold_caches):
         # a nonce CNOT that reads a hash qubit, writes outside the hash field
@@ -765,6 +778,24 @@ class TestNonceAxisEngine:
             qmine.miner._cached_search_tables.cache_clear()
             with pytest.raises(ValueError, match="hash and service registers"):
                 SearchProblem.build([0x51, 0x3B, 0x00, 0x07], layout, HP82, 3)
+
+
+def corrupt_every_round(monkeypatch):
+    """Flip one control and drop one X of every round the builders emit."""
+    emit_round = qmine.toyhash._emit_round
+
+    def corrupted(circuit, *args):
+        start = len(circuit.gates)
+        emit_round(circuit, *args)
+        gates = circuit.gates[start:]
+        drop = next(i for i, g in enumerate(gates) if g.kind == "X")
+        flip = next(i for i, g in enumerate(gates) if g.kind == "MCX")
+        (q, positive), *rest = gates[flip].controls
+        gates[flip] = Gate.mcx([(q, not positive), *rest], gates[flip].targets[0])
+        del gates[drop]
+        circuit.gates[start:] = gates
+
+    monkeypatch.setattr(qmine.toyhash, "_emit_round", corrupted)
 
 
 @pytest.fixture
@@ -849,7 +880,7 @@ class TestFusedCompile:
                                                            cold_caches):
         layout = RegisterLayout.standard(2, 4)  # nonce 0-1, hash 2-5, functional 6
         params, tables = HashParams(4, 1), qmine.miner._cached_search_tables
-        cnots = qmine.miner._shared_gates(layout.nonce, layout.hash, params, ())[0]
+        cnots = qmine.miner._shared_gates(layout.nonce, layout.hash, params)[0]
         inside = (Gate.cnot(2, 5), Gate.swap(3, 4), Gate.x(2))
         monkeypatch.setattr(qmine.miner, "_shared_gates", lambda *args: (cnots, inside))
         assert tables(layout, params, 2)[0].dtype == np.uint8

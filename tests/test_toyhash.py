@@ -5,15 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmine import (Circuit, Gate, HashParams, RegisterLayout, apply_circuit,
+from qmine import (Gate, HashParams, RegisterLayout, apply_circuit,
                    assignment_for, build_hash_circuit,
                    build_hash_circuit_outofplace, build_oracle, enumerate_solutions,
                    format_circuit, has_leading_zeros, hash_classical, invert,
                    new_zero_state)
 from qmine.miner import _cached_search_tables
 from qmine.statevector import permute_labels
-from qmine.toyhash import (_emit_absorbs, _shared_gates, check_block, check_zeros,
-                           hash_many, permute, round_constant)
+from qmine.toyhash import (_shared_gates, check_block, check_zeros, hash_many,
+                           permute, round_constant)
 from helpers import (hash_oracle, permute_oracle, reference_hash_circuit,
                      set_register, sponge_table)
 
@@ -317,7 +317,7 @@ class TestRoundTables:
         # every gate is self-inverse, so the reversed block, as the unhash
         # applies it, undoes the forward table
         layout, params = RegisterLayout.standard(1, m), HashParams(m, rounds, true_chi)
-        block = _shared_gates(layout.nonce, layout.hash, params, ())[1]
+        block = _shared_gates(layout.nonce, layout.hash, params)[1]
         forward, _, _ = _cached_search_tables(layout, params, 0)
         low = layout.hash[0]
         reversed_table = permute_labels(np.arange(1 << m) << low, block[::-1]) >> low
@@ -425,22 +425,3 @@ class TestBuildersEqualReference:
         for bad in (16, -1):
             with pytest.raises(ValueError, match="does not fit"):
                 build_hash_circuit(layout, [0x3, bad], params)
-
-    @pytest.mark.parametrize("with_service", [False, True])
-    def test_too_narrow_circuit_names_first_bad_qubit(self, with_service):
-        # every gate goes through Circuit.append: the first gate that does
-        # not fit raises its IndexError, and the gates before it stay
-        layout, params = RegisterLayout.standard(2, 4, 4), HashParams(4, 1)
-        service = layout.service if with_service else ()
-        full = reference_hash_circuit(layout, [0x3], params, service).gates
-        for width in (max(layout.hash + service), 3, 1):
-            first = next(i for i, g in enumerate(full) if g.mask >> width)
-            bad = next(q for q in full[first].qubits() if q >= width)
-            circuit = Circuit(width, label="small")
-            with pytest.raises(IndexError, match=rf"^qubit {bad} out of range "
-                                                 rf"for {width}-qubit circuit 'small'$"):
-                _emit_absorbs(circuit, layout, [0x3], params, service)
-            assert circuit.gates == full[:first]
-        circuit = Circuit(max(layout.hash + service) + 1)
-        _emit_absorbs(circuit, layout, [0x3], params, service)
-        assert circuit.gates == full
