@@ -310,7 +310,7 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
     _dump_circuits(cfg, blocks)
 
     rows = []
-    for k in range(k_max + 1):  # each k takes one step of the recurrence
+    for k in range(k_max + 1):
         simulated = float(problem.distribution(k)[solutions].sum())
         analytic = analytic_success_probability(cfg.n, count, k)
         rows.append([k, _fmt(simulated), _fmt(analytic),

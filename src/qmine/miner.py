@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import count
 from typing import Sequence
 
@@ -196,32 +196,31 @@ class SearchProblem:
               hash_params: HashParams, zeros: int) -> "SearchProblem":
         _check_layout(layout, hash_params)
         header_blocks = tuple(check_block(b, hash_params) for b in header_blocks)
-        forward, nonces, marks = _cached_search_tables(layout, hash_params, zeros)
+        forward, marks = _cached_search_tables(layout, hash_params, zeros)
         prefix = 0  # header_prefix, one table lookup per block
         for block in header_blocks:
             prefix = int(forward[prefix ^ block])
-        return SearchProblem(prefix, marks[nonces ^ prefix])
-
-    @cached_property
-    def _walked(self) -> list:  # [k, A, C] of the last distribution call
-        return [0, 1, 1]
+        return SearchProblem(prefix, marks[np.arange(1 << len(layout.nonce)) ^ prefix])
 
     def distribution(self, iterations: int) -> np.ndarray:
         """The nonce distribution after ``iterations`` search iterations from
         ``prepare``'s state.  With N = 2^n and M marked, the marked and other
-        amplitudes are A and C over sqrt(N) N^k, integers that start at 1
-        and map to (2M - N) A - 2(N - M) C and 2M A + (2M - N) C per
-        iteration; each probability, A^2 or C^2 over N^(2k+1), is one
-        correctly rounded int / int division.  A and C are carried from the
-        last call: a k no smaller than its k takes only the steps between,
-        and a smaller k starts again from k = 0."""
+        amplitudes are A and C over sqrt(N) N^k, where (A, C) = G^k (1, 1) for
+        one iteration's integer map G = [[2M - N, -2(N - M)], [2M, 2M - N]].
+        G is u + K with u = 2M - N and K^2 = -4M(N - M), so G^k = x + yK is
+        raised by squaring in O(log k) exact int products; each probability,
+        A^2 or C^2 over N^(2k+1), is one correctly rounded int / int
+        division."""
+        if iterations < 0:
+            raise ValueError("iterations must be >= 0")
         space, solutions = len(self.marked), int(self.marked.sum())
-        walked = self._walked
-        k, a, c = walked if iterations >= walked[0] else (0, 1, 1)
-        for _ in range(iterations - k):
-            a, c = ((2 * solutions - space) * a - 2 * (space - solutions) * c,
-                    2 * solutions * a + (2 * solutions - space) * c)
-        walked[:] = iterations, a, c
+        u, square = 2 * solutions - space, -4 * solutions * (space - solutions)
+        x, y = 1, 0
+        for bit in format(iterations, "b"):
+            x, y = x * x + square * y * y, 2 * x * y
+            if bit == "1":
+                x, y = u * x + square * y, x + u * y
+        a, c = x - 2 * (space - solutions) * y, x + 2 * solutions * y
         scale = space ** (2 * iterations + 1)
         return np.where(self.marked, a * a / scale, c * c / scale)
 
@@ -238,15 +237,15 @@ def gates_per_iteration(layout: RegisterLayout, header_blocks: Sequence[int],
 @lru_cache(maxsize=8)
 def _cached_search_tables(layout: RegisterLayout, hash_params: HashParams,
                           zeros: int) -> tuple:
-    """The engine's tables, read off the cached gates, read-only: ``forward``,
-    where the r rounds every hash circuit repeats move each hash value, in
-    the narrowest unsigned dtype; ``nonces``, 0..2^n - 1; and ``marks``,
-    whether the oracle fires on field forward[x].  The nonce CNOTs copy
-    nonce v into the field's low bits, as the sponge absorbs v into state s
-    as s ^ v, so hash and oracle flip nonce v iff marks[prefix ^ v] and the
-    unhash clears the field, provided the rounds act only on the field, the
-    CNOTs read only nonce qubits and copy v, and every oracle gate reads only
-    the field and writes only the functional qubit."""
+    """The engine's two tables, read off the cached gates, read-only:
+    ``forward``, where the r rounds every hash circuit repeats move each hash
+    value, in the narrowest unsigned dtype; and ``marks``, whether the oracle
+    fires on field forward[x].  The nonce CNOTs copy nonce v into the field's
+    low bits, as the sponge absorbs v into state s as s ^ v, so hash and
+    oracle flip nonce v iff marks[prefix ^ v] and the unhash clears the
+    field, provided the rounds act only on the field, the CNOTs read only
+    nonce qubits and copy v, and every oracle gate reads only the field and
+    writes only the functional qubit."""
     oracle = build_oracle(layout, zeros).gates  # checks zeros before any table
     cnots, rounds = _shared_gates(layout.nonce, layout.hash, hash_params)
     low, width, functional = layout.hash[0], len(layout.hash), layout.functional
@@ -263,9 +262,9 @@ def _cached_search_tables(layout: RegisterLayout, hash_params: HashParams,
     forward = permute_labels(values, rounds) >> low
     forward = forward.astype(np.min_scalar_type((1 << width) - 1))
     marks = (permute_labels(values, oracle) & 1 << functional != 0)[forward]
-    for table in (forward, nonces, marks):
+    for table in (forward, marks):
         table.setflags(write=False)
-    return forward, nonces, marks
+    return forward, marks
 
 
 # -- schedules and analysis ------------------------------------------------------
@@ -385,7 +384,8 @@ def mine_quantum(header_blocks: Sequence[int], layout: RegisterLayout,
     ``exact_readout`` replaces sampling with the argmax-probability
     nonce for deterministic runs; sampling uses params.rng_seed.  It reads
     the lowest nonce of the strictly likelier class, the lowest solution
-    whenever it succeeds.  The classes tie only where A^2 = C^2 in
+    whenever it succeeds.  The classes tie at k = 0 for every M (a hint of
+    2^n runs 0 iterations), and at k >= 1 only where A^2 = C^2 in
     ``SearchProblem.distribution``, which by Niven's theorem needs M / 2^n
     in {1/4, 1/2, 3/4}; every nonce is then equally likely, and exact
     readout returns nonce 0.

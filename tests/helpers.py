@@ -3,14 +3,12 @@
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import replace
 from functools import lru_cache
 from itertools import groupby
 
 import numpy as np
 
-import qmine.miner
 import qmine.toyhash
 from qmine import (Circuit, Digest, Gate, MiningParams, MiningResult,
                    RegisterLayout, SearchProblem, StateVector, build_diffusion,
@@ -38,22 +36,17 @@ def count_rounds_calls(monkeypatch) -> list:
     return calls
 
 
-_DISTRIBUTION = SearchProblem.distribution.__code__
-
-
-def count_recurrence_steps(monkeypatch) -> list:
-    """Record the length of every ``range`` that ``SearchProblem.distribution``
-    loops over: the sum is the steps of the class integers' recurrence."""
-    steps = []
-
-    def spy(*args):
-        span = range(*args)
-        if sys._getframe(1).f_code is _DISTRIBUTION:
-            steps.append(len(span))
-        return span
-
-    monkeypatch.setattr(qmine.miner, "range", spy, raising=False)
-    return steps
+def reference_walk(marked: np.ndarray, iterations: int) -> np.ndarray:
+    """``SearchProblem.distribution`` by the integer recurrence, one step per
+    iteration from A = C = 1: A, C <- (2M - N) A - 2(N - M) C,
+    2M A + (2M - N) C, then A^2 or C^2 over N^(2k+1) per nonce."""
+    space, solutions = len(marked), int(marked.sum())
+    a = c = 1
+    for _ in range(iterations):
+        a, c = ((2 * solutions - space) * a - 2 * (space - solutions) * c,
+                2 * solutions * a + (2 * solutions - space) * c)
+    scale = space ** (2 * iterations + 1)
+    return np.where(marked, a * a / scale, c * c / scale)
 
 
 def permute_oracle(x: int, m: int, r: int, true_chi: bool = False) -> int:

