@@ -1,13 +1,14 @@
 """Grover-search proof-of-work mining on a simulated quantum register."""
 
 from .chain import (Block, BlockHeader, Chain, compute_required_zeros,
-                    load_chain, mine_classical, save_chain, serialize_header)
+                    load_chain, save_chain, serialize_header)
 from .circuit import (Circuit, Gate, apply_circuit, emit_and_into, emit_not,
                       emit_rotate_left, emit_xor_into, format_circuit, invert)
 from .miner import (MiningParams, MiningResult, RegisterLayout, ResourceEstimate,
                     SearchProblem, analytic_success_probability, build_diffusion,
                     build_oracle, enumerate_solutions, estimate_resources,
-                    grover_iteration, iteration_count, mine_quantum, prepare)
+                    grover_iteration, iteration_count, mine_classical, mine_quantum,
+                    prepare)
 from .statevector import CapacityError, StateVector, assignment_for, new_zero_state
 from .toyhash import (Digest, HashParams, build_hash_circuit,
                       build_hash_circuit_outofplace, hash_classical,

@@ -1,5 +1,5 @@
-"""Toy proof-of-work chain: headers, serialization, brute-force miner,
-difficulty derivation, validation, and JSON persistence.
+"""Toy proof-of-work chain: headers, serialization, difficulty derivation,
+validation, and JSON persistence.  The miners live in ``miner``.
 
 A header is absorbed as four fixed blocks (previous digest, payload
 digest, timestamp, difficulty), each truncated to the digest width; the
@@ -13,16 +13,13 @@ import json
 import string
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
-from .miner import MiningParams, MiningResult, header_prefix
 from .toyhash import (Digest, HashParams, absorb, check_nonce_width, check_zeros,
-                      has_leading_zeros, hash_classical, hash_many, hex_digits)
+                      hash_classical, hex_digits)
 
 CHAIN_FORMAT_VERSION = "qmine-chain/1"
-SCAN_CHUNK = 256  # nonces mine_classical hashes per hash_many call
 _HEX_CHARS = frozenset(string.hexdigits)
 
 REASON_DIGEST_MISMATCH = "digest-mismatch"
@@ -67,33 +64,6 @@ def serialize_header(header: BlockHeader, params: HashParams) -> list[int]:
 
 def header_digest(header: BlockHeader, params: HashParams) -> Digest:
     return hash_classical(serialize_header(header, params) + [header.nonce], params)
-
-
-def mine_classical(header_blocks: Sequence[int], params: MiningParams,
-                   nonce_bits: int) -> MiningResult:
-    """Exhaustive baseline: try nonce 0,1,... and return the first whose
-    digest clears the difficulty; ties against the quantum miner are
-    broken toward the smallest nonce by construction.  ``hash_many`` hashes
-    ``SCAN_CHUNK`` nonces per call, but ``hashes_tried`` counts up to the
-    first solution."""
-    hp = params.hash_params
-    space = 1 << check_nonce_width(nonce_bits, hp.digest_bits)
-    prefix = header_prefix(header_blocks, hp)
-    for start in range(0, space, SCAN_CHUNK):
-        digests = hash_many(prefix, np.arange(start, min(start + SCAN_CHUNK, space)), hp)
-        solved = np.flatnonzero(has_leading_zeros(digests, hp.digest_bits,
-                                                  params.difficulty_zeros))
-        if solved.size:
-            value, digest = start + int(solved[0]), digests[solved[0]]
-            break
-    else:
-        value, digest = space - 1, digests[-1]
-    success = bool(solved.size)
-    return MiningResult(
-        nonce=value, nonce_bits=format(value, f"0{nonce_bits}b"),
-        digest=Digest(int(digest), hp.digest_bits), success=success,
-        grover_iterations_used=0, success_probability_at_measurement=float(success),
-        total_gates=0, hashes_tried=value + 1)
 
 
 def compute_required_zeros(nonce_bits: int, digest_bits: int) -> int:

@@ -18,13 +18,13 @@ from pathlib import Path
 from typing import Sequence
 
 from .chain import (Block, BlockHeader, Chain, compute_required_zeros, header_digest,
-                    json_bool, json_hex, json_int, load_chain, mine_classical,
-                    read_json_object, save_chain, serialize_header)
+                    json_bool, json_hex, json_int, load_chain, read_json_object,
+                    save_chain, serialize_header)
 from .circuit import format_circuit
 from .miner import (MiningParams, MiningResult, RegisterLayout, SearchProblem,
                     analytic_success_probability, build_diffusion, build_oracle,
-                    enumerate_solutions, estimate_resources, gates_per_iteration,
-                    iteration_count, mine_quantum)
+                    estimate_resources, gates_per_iteration, iteration_count,
+                    mine_classical, mine_quantum)
 from .toyhash import HashParams, build_hash_circuit, hex_digits
 
 EXIT_OK = 0
@@ -85,7 +85,8 @@ RUN_OPTIONS = (  # flags of mine and sweep
          help="derive zeros as n+1 (expected half a solution)"),
     _opt("true_chi", False, json_bool, action=_BOOL,
          help="use the inverted-operand chi nonlinearity"),
-    _opt("prev", 0, json_hex, help="previous digest, hex"),
+    _opt("prev", None, json_hex,
+         help="previous digest, hex (default 0; with --chain-file, the chain's tip)"),
     _opt("payload", 0, json_hex, help="payload digest, hex"),
     _opt("timestamp", 0, json_int, type=int, help="header timestamp"),
     _opt("csv_out", None, _optional_str, help="write machine-readable CSV here"),
@@ -217,8 +218,8 @@ def _mine_record_row(miner: str, r: MiningResult) -> list:
             r.total_gates, r.hashes_tried]
 
 
-def _header(cfg: argparse.Namespace, prev: int) -> BlockHeader:
-    return BlockHeader(prev_digest=prev, payload_digest=cfg.payload,
+def _header(cfg: argparse.Namespace, prev: int | None) -> BlockHeader:
+    return BlockHeader(prev_digest=prev or 0, payload_digest=cfg.payload,
                        timestamp=cfg.timestamp, difficulty_zeros=cfg.zeros,
                        nonce=0)
 
@@ -227,16 +228,17 @@ def cmd_mine(cfg: argparse.Namespace) -> int:
     if cfg.mode not in ("classical", "quantum", "both"):
         raise ValueError(f"mode must be classical, quantum or both, got {cfg.mode!r}")
     hp = cfg.hash_params
-    chain = None
-    prev = cfg.prev
-    if cfg.chain_file and Path(cfg.chain_file).exists():
-        chain = load_chain(cfg.chain_file)
+    chain, prev = None, cfg.prev
+    if cfg.chain_file:
+        if prev is not None:
+            raise ValueError("prev and chain_file exclude each other: the block "
+                             "extends the chain's tip, 0 for a new chain file")
+        chain = (load_chain(cfg.chain_file) if Path(cfg.chain_file).exists()
+                 else Chain(hash_params=hp, nonce_bits=cfg.n))
         if chain.hash_params != hp or chain.nonce_bits != cfg.n:
             raise ValueError(f"chain file {cfg.chain_file} was built with "
                              f"different parameters")
         prev = chain.tip_digest()
-    elif cfg.chain_file:
-        chain = Chain(hash_params=hp, nonce_bits=cfg.n)
 
     header = _header(cfg, prev)
     blocks = serialize_header(header, hp)
@@ -298,20 +300,18 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
     hp = cfg.hash_params
     blocks = serialize_header(_header(cfg, cfg.prev), hp)
-    solutions = enumerate_solutions(blocks, hp, cfg.n, cfg.zeros)
-    count = len(solutions)
+    problem = SearchProblem.build(blocks, cfg.layout, hp, cfg.zeros)
+    count = int(problem.marked.sum())  # the solutions, read off the compile
     if count == 0:
         print("no nonce satisfies the difficulty; nothing to sweep")
         return EXIT_EXHAUSTED
     if k_max is None:
         k_max = iteration_count(cfg.n, count)
-
-    problem = SearchProblem.build(blocks, cfg.layout, hp, cfg.zeros)
     _dump_circuits(cfg, blocks)
 
     rows = []
     for k in range(k_max + 1):
-        simulated = float(problem.distribution(k)[solutions].sum())
+        simulated = float(problem.distribution(k)[problem.marked].sum())
         analytic = analytic_success_probability(cfg.n, count, k)
         rows.append([k, _fmt(simulated), _fmt(analytic),
                      _fmt(abs(simulated - analytic))])

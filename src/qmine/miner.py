@@ -243,18 +243,16 @@ def _cached_search_tables(layout: RegisterLayout, hash_params: HashParams,
     fires on field forward[x].  The nonce CNOTs copy nonce v into the field's
     low bits, as the sponge absorbs v into state s as s ^ v, so hash and
     oracle flip nonce v iff marks[prefix ^ v] and the unhash clears the
-    field, provided the rounds act only on the field, the CNOTs read only
-    nonce qubits and copy v, and every oracle gate reads only the field and
-    writes only the functional qubit."""
+    field, provided the rounds act only on the field, nonce CNOT i reads
+    nonce qubit i and writes hash qubit i, and every oracle gate reads only
+    the field and writes only the functional qubit."""
     oracle = build_oracle(layout, zeros).gates  # checks zeros before any table
     cnots, rounds = _shared_gates(layout.nonce, layout.hash, hash_params)
     low, width, functional = layout.hash[0], len(layout.hash), layout.functional
     if any(g.mask >> low + width or g.mask & (1 << low) - 1 for g in rounds):
         raise ValueError("the gate block acts outside the hash register")
-    nonce_mask, field = (1 << len(layout.nonce)) - 1, (1 << width) - 1 << low
-    nonces, values = np.arange(nonce_mask + 1), np.arange(1 << width) << low
-    if (any(g.kind == "SWAP" or g.mask & ~(nonce_mask | 1 << g.targets[0]) for g in cnots)
-            or not np.array_equal(permute_labels(nonces, cnots), nonces | nonces << low)
+    field, values = (1 << width) - 1 << low, np.arange(1 << width) << low
+    if (cnots != tuple(Gate.cnot(q, layout.hash[i]) for i, q in enumerate(layout.nonce))
             or any(g.targets != (functional,) or g.mask & ~(field | 1 << functional)
                    for g in oracle)):
         raise ValueError("hash, oracle and unhash must return every nonce "
@@ -351,16 +349,38 @@ def header_prefix(header_blocks: Sequence[int], hash_params: HashParams) -> int:
     return hash_classical(list(header_blocks), hash_params).value if header_blocks else 0
 
 
-def enumerate_solutions(header_blocks: Sequence[int], hash_params: HashParams,
-                        nonce_bits: int, zeros: int) -> list[int]:
-    """All nonce values whose digest clears the difficulty, by classical
-    exhaustion (desk scale only): one ``hash_many`` call over all 2^n
-    nonces."""
+def _scan(header_blocks: Sequence[int], hash_params: HashParams, nonce_bits: int,
+          zeros: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every nonce's digest and whether it clears the difficulty, by classical
+    exhaustion (desk scale only): one ``hash_many`` call over all 2^n nonces."""
     check_nonce_width(nonce_bits, hash_params.digest_bits)
     check_zeros(zeros, hash_params.digest_bits)
     prefix = header_prefix(header_blocks, hash_params)
     digests = hash_many(prefix, np.arange(1 << nonce_bits), hash_params)
-    return np.flatnonzero(has_leading_zeros(digests, hash_params.digest_bits, zeros)).tolist()
+    return digests, has_leading_zeros(digests, hash_params.digest_bits, zeros)
+
+
+def enumerate_solutions(header_blocks: Sequence[int], hash_params: HashParams,
+                        nonce_bits: int, zeros: int) -> list[int]:
+    """All nonce values whose digest clears the difficulty, in ascending order."""
+    return np.flatnonzero(_scan(header_blocks, hash_params, nonce_bits, zeros)[1]).tolist()
+
+
+def mine_classical(header_blocks: Sequence[int], params: MiningParams,
+                   nonce_bits: int) -> MiningResult:
+    """Exhaustive baseline: the lowest nonce whose digest clears the
+    difficulty, else the last nonce; ties against the quantum miner are
+    broken toward the smallest nonce by construction.  ``_scan`` hashes every
+    nonce, but ``hashes_tried`` counts those up to the one returned."""
+    hp = params.hash_params
+    digests, solved = _scan(header_blocks, hp, nonce_bits, params.difficulty_zeros)
+    success = bool(solved.any())
+    value = int(solved.argmax()) if success else solved.size - 1
+    return MiningResult(
+        nonce=value, nonce_bits=format(value, f"0{nonce_bits}b"),
+        digest=Digest(int(digests[value]), hp.digest_bits), success=success,
+        grover_iterations_used=0, success_probability_at_measurement=float(success),
+        total_gates=0, hashes_tried=value + 1)
 
 
 # -- the miner -------------------------------------------------------------------

@@ -10,10 +10,9 @@ from qmine import (Block, BlockHeader, Chain, HashParams, MiningParams,
                    RegisterLayout, compute_required_zeros, enumerate_solutions,
                    hash_classical, load_chain, mine_classical, mine_quantum,
                    save_chain, serialize_header)
-import qmine.chain
 import qmine.miner
 import qmine.toyhash
-from qmine.chain import SCAN_CHUNK, header_digest
+from qmine.chain import header_digest
 from qmine.toyhash import Digest
 from helpers import (count_rounds_calls, find_header_with_count,
                      reference_chain_validate, reference_mine_classical)
@@ -89,8 +88,7 @@ class TestMineClassical:
         # absorbed as: both classical miners refuse the width before hashing,
         # and enumerate_solutions a difficulty outside 0..m too
         rounds, batches = count_rounds_calls(monkeypatch), []
-        for module in (qmine.chain, qmine.miner):
-            monkeypatch.setattr(module, "hash_many", lambda *args: batches.append(args))
+        monkeypatch.setattr(qmine.miner, "hash_many", lambda *args: batches.append(args))
         message = f"^nonce_bits must be in 1..8, got {nonce_bits}$"
         with pytest.raises(ValueError, match=message):
             mine_classical([0x3], make_params(1), nonce_bits)
@@ -107,9 +105,9 @@ SCAN_N, SCAN_PARAMS = 10, MiningParams(8, HashParams(16, 2))
 @functools.lru_cache(maxsize=1)
 def first_solution_headers() -> dict:
     """Seeded search of random 4-block headers for one whose first solution
-    at ``SCAN_N``, ``SCAN_PARAMS`` is at each index around the first chunk
-    boundary, and for one with no solution (key None)."""
-    targets = {0, SCAN_CHUNK - 1, SCAN_CHUNK, SCAN_CHUNK + 1, None}
+    at ``SCAN_N``, ``SCAN_PARAMS`` is at each of the nonces 0, 255, 256 and
+    257, and for one with no solution (key None)."""
+    targets = {0, 255, 256, 257, None}
     hp, rng, found = SCAN_PARAMS.hash_params, np.random.default_rng(9), {}
     for _ in range(5000):
         header = [int(b) for b in rng.integers(0, hp.mask + 1, size=4)]
@@ -121,11 +119,11 @@ def first_solution_headers() -> dict:
 
 
 class TestChunkedScan:
-    """``mine_classical`` hashes whole chunks of nonces but reports what a
-    one-by-one scan reports."""
+    """``mine_classical`` hashes the whole nonce space at once but reports
+    what a one-by-one scan reports, wherever the first solution lies; nonces
+    255-257 straddle where a scan of 256-nonce chunks would split."""
 
-    @pytest.mark.parametrize("first", [0, SCAN_CHUNK - 1, SCAN_CHUNK,
-                                       SCAN_CHUNK + 1, None])
+    @pytest.mark.parametrize("first", [0, 255, 256, 257, None])
     def test_first_solution_around_a_chunk_boundary(self, first):
         header = first_solution_headers()[first]
         result = mine_classical(header, SCAN_PARAMS, SCAN_N)
@@ -135,13 +133,13 @@ class TestChunkedScan:
         else:
             assert result.nonce == first and result.hashes_tried == first + 1
 
-    def test_past_several_chunks_at_the_top_size(self):
+    def test_top_size_equals_the_reference(self):
         hp = HashParams(16, 8, true_chi=True)
         header = [int(b) for b in np.random.default_rng(1).integers(0, 1 << 16, size=4)]
         params = MiningParams(10, hp)
         result = mine_classical(header, params, 16)
         assert result == reference_mine_classical(header, params, 16)
-        assert result.hashes_tried > 4 * SCAN_CHUNK
+        assert result.hashes_tried > 1024
 
 
 class TestComputeRequiredZeros:

@@ -139,6 +139,28 @@ class TestMineCommand:
         assert main(["chain", "validate",
                      "--chain-file", chain_file]) == EXIT_INVALID_CHAIN
 
+    @pytest.mark.parametrize("existing", [False, True])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_prev_with_a_chain_file_is_refused(self, tmp_path, capsys, existing, source):
+        # the block extends the chain's tip (0 for a new file), so a prev
+        # given beside a chain file is a usage error: nothing is mined and
+        # no file is written or changed
+        chain_file = tmp_path / "chain.json"
+        if existing:
+            save_chain(valid_chain(), chain_file)
+        before = chain_file.read_text() if existing else None
+        argv = ["mine", *BASE, "--mode", "classical", "--chain-file", str(chain_file)]
+        if source == "flag":
+            argv += ["--prev", "5"]
+        else:
+            config = tmp_path / "run.json"
+            config.write_text(json.dumps({"prev": "5"}))
+            argv += ["--config", str(config)]
+        assert main(argv) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: prev and chain_file exclude each other")
+        assert (chain_file.read_text() if chain_file.exists() else None) == before
+
     def test_chain_show_golden(self, capsys):
         assert main(["chain", "show", "--chain-file",
                      str(DATA / "golden_chain.json")]) == EXIT_OK
