@@ -15,6 +15,7 @@ phase flip on the marked branches (phase kickback).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count
@@ -25,7 +26,7 @@ import numpy as np
 from .circuit import Circuit, Gate, apply_circuit, invert
 # new_zero_state and build_hash_circuit stay bound here for tracers that
 # wrap miner.new_zero_state and miner.build_hash_circuit
-from .statevector import StateVector, new_zero_state, permute_labels, sample_readout
+from .statevector import StateVector, new_zero_state, permute_labels
 from .toyhash import (Digest, HashParams, _check_layout, _shared_gates,
                       build_hash_circuit, check_block, check_nonce_width,
                       check_zeros, has_leading_zeros, hash_classical,
@@ -130,26 +131,20 @@ def build_diffusion(layout: RegisterLayout) -> Circuit:
     """Reflection about the uniform superposition, acting only on the
     nonce register: H^n X^n (H MCX H on the last qubit) X^n H^n.  H MCX H
     is a phase flip on |1...1>, so the circuit is exactly 1 - 2|s><s|, the
-    reflection ``SearchProblem.distribution`` applies to its two class
-    amplitudes."""
+    reflection ``_class_weights`` applies to its two class amplitudes."""
     nonce = layout.nonce
-    n = len(nonce)
     circuit = Circuit(layout.total_qubits, label="diffusion")
-    for q in nonce:
-        circuit.append(Gate.h(q))
-    for q in nonce:
-        circuit.append(Gate.x(q))
+    circuit.extend(Gate.h(q) for q in nonce)
+    circuit.extend(Gate.x(q) for q in nonce)
     last = nonce[-1]
     circuit.append(Gate.h(last))
-    if n == 1:
+    if len(nonce) == 1:
         circuit.append(Gate.x(last))  # zero-control MCX is a plain X
     else:
         circuit.append(Gate.mcx([(q, True) for q in nonce[:-1]], last))
     circuit.append(Gate.h(last))
-    for q in nonce:
-        circuit.append(Gate.x(q))
-    for q in nonce:
-        circuit.append(Gate.h(q))
+    circuit.extend(Gate.x(q) for q in nonce)
+    circuit.extend(Gate.h(q) for q in nonce)
     return circuit
 
 
@@ -204,25 +199,56 @@ class SearchProblem:
 
     def distribution(self, iterations: int) -> np.ndarray:
         """The nonce distribution after ``iterations`` search iterations from
-        ``prepare``'s state.  With N = 2^n and M marked, the marked and other
-        amplitudes are A and C over sqrt(N) N^k, where (A, C) = G^k (1, 1) for
-        one iteration's integer map G = [[2M - N, -2(N - M)], [2M, 2M - N]].
-        G is u + K with u = 2M - N and K^2 = -4M(N - M), so G^k = x + yK is
-        raised by squaring in O(log k) exact int products; each probability,
-        A^2 or C^2 over N^(2k+1), is one correctly rounded int / int
-        division."""
-        if iterations < 0:
-            raise ValueError("iterations must be >= 0")
-        space, solutions = len(self.marked), int(self.marked.sum())
-        u, square = 2 * solutions - space, -4 * solutions * (space - solutions)
-        x, y = 1, 0
-        for bit in format(iterations, "b"):
-            x, y = x * x + square * y * y, 2 * x * y
-            if bit == "1":
-                x, y = u * x + square * y, x + u * y
-        a, c = x - 2 * (space - solutions) * y, x + 2 * solutions * y
-        scale = space ** (2 * iterations + 1)
-        return np.where(self.marked, a * a / scale, c * c / scale)
+        ``prepare``'s state: each class's ``_class_weights`` over the scale."""
+        marked, other, scale = _class_weights(len(self.marked).bit_length() - 1,
+                                              int(self.marked.sum()), iterations)
+        return np.where(self.marked, marked / scale, other / scale)
+
+
+def _class_weights(nonce_bits: int, solutions: int, iterations: int) -> tuple[int, int, int]:
+    """(A^2, C^2, N^(2k+1)) after k = ``iterations`` from ``prepare``'s state,
+    with M = ``solutions`` of N = 2^n nonces marked: the marked and other
+    amplitudes are A and C over sqrt(N) N^k, (A, C) = G^k (1, 1) for one
+    iteration's integer map G = [[2M - N, -2(N - M)], [2M, 2M - N]] = u + K,
+    u = 2M - N, K^2 = -4M(N - M); G^k = x + yK is raised by squaring in
+    O(log k) exact int products.  N^(2k+1), a shift, is M A^2 + (N - M) C^2."""
+    if iterations < 0:
+        raise ValueError("iterations must be >= 0")
+    space = 1 << nonce_bits
+    u, square = 2 * solutions - space, -4 * solutions * (space - solutions)
+    x, y = 1, 0
+    for bit in format(iterations, "b"):
+        x, y = x * x + square * y * y, 2 * x * y
+        if bit == "1":
+            x, y = u * x + square * y, x + u * y
+    a, c = x - 2 * (space - solutions) * y, x + 2 * solutions * y
+    return a * a, c * c, 1 << nonce_bits * (2 * iterations + 1)
+
+
+def _argmax(weights: tuple[int, int, int], lowest: tuple[int, int]) -> int:
+    """``np.argmax(distribution(k))``: of the lowest marked and lowest other
+    nonce (0 for an empty class), the one whose class's float probability is
+    strictly greater, else nonce 0."""
+    marked, other = weights[0] / weights[2], weights[1] / weights[2]
+    return lowest[0] if marked > other else lowest[1] if other > marked else 0
+
+
+def _sample(weights: tuple[int, int, int], solutions: list[int], nonce_bits: int,
+            rng: np.random.Generator) -> int:
+    """The nonce ``sample_readout(distribution(k))`` reads, unless its one
+    ``rng.random()`` = j / 2^53 lies within float rounding of a step, by the
+    exact inverse CDF: the least v with A^2 a + C^2 (v + 1 - a) > j / 2^53 of
+    the scale, a the sorted ``solutions`` <= v, bisected in O(n log M) steps."""
+    marked, other, scale = weights
+    target, low, high = int(rng.random() * 2.0 ** 53) * scale, 0, (1 << nonce_bits) - 1
+    while low < high:
+        mid = (low + high) // 2
+        a = bisect_right(solutions, mid)
+        if marked * a + other * (mid + 1 - a) << 53 > target:
+            high = mid
+        else:
+            low = mid + 1
+    return low
 
 
 def gates_per_iteration(layout: RegisterLayout, header_blocks: Sequence[int],
@@ -284,8 +310,7 @@ def iteration_count(nonce_bits: int, solution_count: int) -> int:
     space = _solution_space(nonce_bits, solution_count)
     if solution_count == space:
         return 0
-    k = math.floor(math.pi / 4 * math.sqrt(space / solution_count))
-    return max(k, 1)
+    return max(math.floor(math.pi / 4 * math.sqrt(space / solution_count)), 1)
 
 
 def analytic_success_probability(nonce_bits: int, solution_count: int,
@@ -390,33 +415,28 @@ def mine_quantum(header_blocks: Sequence[int], layout: RegisterLayout,
                  params: MiningParams, *, exact_readout: bool = False) -> MiningResult:
     """Run the full search and return a classically verified result.
 
-    Rounds of k_t iterations each end in one readout plus classical
-    verification.  With a solution-count hint the schedule is one round at
-    the optimal iteration count.  Without one it is k_t = ceil(1.2^t), run
-    until success or until the iterations used exceed the cap
-    max_grover_rounds * ceil(pi/4 * sqrt(2^n)).
-    The round that crosses the cap runs in full, so a failed run reports
-    between cap + 1 and cap + k_t iterations; failure then may mean no
-    solution exists.
+    Rounds of k_t iterations each restart from the prepared state, as a
+    device must, and end in one readout plus classical verification.  With a
+    solution-count hint the schedule is one round at the optimal iteration
+    count; without one it is k_t = ceil(1.2^t), run until success or until
+    the iterations used exceed the cap max_grover_rounds * ceil(pi/4 *
+    sqrt(2^n)).  The round that crosses the cap runs in full, so a failed run
+    reports between cap + 1 and cap + k_t iterations; failure then may mean
+    no solution exists.
 
-    Every round restarts from the prepared state, as a device must.
-
-    ``exact_readout`` replaces sampling with the argmax-probability
-    nonce for deterministic runs; sampling uses params.rng_seed.  It reads
-    the lowest nonce of the strictly likelier class, the lowest solution
-    whenever it succeeds.  The classes tie at k = 0 for every M (a hint of
-    2^n runs 0 iterations), and at k >= 1 only where A^2 = C^2 in
-    ``SearchProblem.distribution``, which by Niven's theorem needs M / 2^n
-    in {1/4, 1/2, 3/4}; every nonce is then equally likely, and exact
-    readout returns nonce 0.
+    A round reads one nonce from its two ``_class_weights``, with no 2^n
+    array: one exact inverse-CDF draw (``_sample``) from params.rng_seed, or
+    with ``exact_readout`` the argmax-probability nonce (``_argmax``), the
+    lowest solution whenever it succeeds.  The classes tie at k = 0 (a hint
+    of 2^n runs 0 iterations) and at k >= 1 only where A^2 = C^2, which by
+    Niven's theorem needs M / 2^n in {1/4, 1/2, 3/4}; every nonce is then
+    equally likely, and exact readout returns nonce 0.
 
     Verification hashes each distinct nonce read once, as the single block
     ``hash_classical([problem.prefix ^ value])``: the header's sponge state
     comes from the search's compile, so no header block is hashed here.
     """
-    n = len(layout.nonce)
-    hp = params.hash_params
-    zeros = params.difficulty_zeros
+    n, hp, zeros = len(layout.nonce), params.hash_params, params.difficulty_zeros
     problem = SearchProblem.build(header_blocks, layout, hp, zeros)
     if params.solution_count_hint is None:
         schedule = (math.ceil(UNKNOWN_COUNT_GROWTH ** t) for t in count())
@@ -424,26 +444,23 @@ def mine_quantum(header_blocks: Sequence[int], layout: RegisterLayout,
         schedule = [iteration_count(n, params.solution_count_hint)]
     budget_cap = params.max_grover_rounds * math.ceil(math.pi / 4 * math.sqrt(1 << n))
     rng = None if exact_readout else np.random.default_rng(params.rng_seed)
+    solutions = np.flatnonzero(problem.marked).tolist()
+    lowest = (solutions[0] if solutions else 0, int(problem.marked.argmin()))
     digests: dict[int, Digest] = {}  # a nonce read again is not hashed again
     used = hashes = 0
     for k in schedule:
-        dist = problem.distribution(k)
-        value = int(np.argmax(dist)) if exact_readout else sample_readout(dist, rng)
+        weights = _class_weights(n, len(solutions), k)
+        value = _argmax(weights, lowest) if rng is None else _sample(weights, solutions, n, rng)
         if value not in digests:
             digests[value] = hash_classical([problem.prefix ^ value], hp)
         ok = digests[value].meets_difficulty(zeros)
-        used += k
-        hashes += 1
+        used, hashes = used + k, hashes + 1
         if ok or used > budget_cap:
             break
     return MiningResult(
-        nonce=value,
-        nonce_bits=format(value, f"0{n}b"),
-        digest=digests[value],
-        success=ok,
-        grover_iterations_used=used,
-        success_probability_at_measurement=float(dist[problem.marked].sum()),
+        nonce=value, nonce_bits=format(value, f"0{n}b"), digest=digests[value],
+        success=ok, grover_iterations_used=used,
+        success_probability_at_measurement=len(solutions) * weights[0] / weights[2],
         # prepare (n + 2 gates) once per round, plus every iteration
         total_gates=hashes * (n + 2) + used * gates_per_iteration(layout, header_blocks, hp),
-        hashes_tried=hashes,
-    )
+        hashes_tried=hashes)

@@ -190,13 +190,10 @@ def _emit_round(circuit: Circuit, hash_qubits: Sequence[int], round_index: int,
         operands = [(hash_qubits[(i + 1) % m], not params.true_chi),
                     (hash_qubits[(i + 2) % m], True)]
         circuit.append(Gate.mcx(operands, hash_qubits[i]))
-    for i in range(m):
-        circuit.append(Gate.cnot(hash_qubits[(i + 3) % m], hash_qubits[i]))
+    circuit.extend(Gate.cnot(hash_qubits[(i + 3) % m], hash_qubits[i]) for i in range(m))
     emit_rotate_left(circuit, hash_qubits, 1)
     rc = round_constant(round_index, m)
-    for i in range(m):
-        if (rc >> i) & 1:
-            circuit.append(Gate.x(hash_qubits[i]))
+    circuit.extend(Gate.x(q) for i, q in enumerate(hash_qubits) if (rc >> i) & 1)
 
 
 def _check_layout(layout: "RegisterLayout", params: HashParams) -> None:
@@ -243,10 +240,15 @@ def hash_gate_count(nonce_bits: int, header_blocks: Sequence[int],
     is m chi MCX, m CNOTs, m - 1 rotation SWAPs (one m-cycle) and an X per
     set bit of its constant; the rounds follow each header block's X per set
     bit and the nonce's n CNOTs."""
-    m = params.digest_bits
-    rounds = sum(3 * m - 1 + round_constant(j, m).bit_count() for j in range(params.rounds))
     xs = sum(check_block(b, params).bit_count() for b in header_blocks)
-    return xs + nonce_bits + (len(header_blocks) + 1) * rounds
+    return xs + nonce_bits + (len(header_blocks) + 1) * _round_gate_count(params)
+
+
+@lru_cache(maxsize=8)
+def _round_gate_count(params: HashParams) -> int:
+    """Gates in the r rounds of one block, summed once per ``params``."""
+    m = params.digest_bits
+    return sum(3 * m - 1 + round_constant(j, m).bit_count() for j in range(params.rounds))
 
 
 def build_hash_circuit_outofplace(layout: "RegisterLayout",

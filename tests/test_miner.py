@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from qmine import (Gate, HashParams, MiningParams, RegisterLayout, SearchProblem
                    mine_quantum, new_zero_state, prepare)
 import qmine.circuit
 import qmine.miner
+import qmine.statevector
 import qmine.toyhash
 from qmine.miner import UNKNOWN_COUNT_GROWTH, gates_per_iteration, header_prefix
 from qmine.toyhash import hash_gate_count
@@ -966,8 +968,148 @@ class TestSampledReadout:
             dist[rng.integers(size)] = 0.5
         ours, theirs = np.random.default_rng(bits), np.random.default_rng(bits)
         for _ in range(3):
-            assert (qmine.miner.sample_readout(dist, ours)
+            assert (qmine.statevector.sample_readout(dist, ours)
                     == theirs.choice(size, p=dist / dist.sum()))
+
+
+class FixedDraw:
+    """A stand-in generator whose one ``random()`` draw is chosen."""
+
+    def __init__(self, u: float):
+        self.u = u
+
+    def random(self) -> float:
+        return self.u
+
+
+def every_count(n: int):
+    """A random mask with every count M of marked nonces, 0..2^n."""
+    rng = np.random.default_rng(n)
+    for count in range((1 << n) + 1):
+        marked = np.zeros(1 << n, dtype=bool)
+        marked[rng.permutation(1 << n)[:count]] = True
+        yield SearchProblem(0, marked)
+
+
+def readout_rounds(n: int, problem: SearchProblem):
+    """(k, class weights, sorted marked nonces, lowest marked and other nonce,
+    0 for an empty class) for every k up to twice the optimum plus 2."""
+    solutions = np.flatnonzero(problem.marked).tolist()
+    others = np.flatnonzero(~problem.marked)
+    lowest = (solutions[0] if solutions else 0, int(others[0]) if others.size else 0)
+    for k in range(2 * iteration_count(n, max(len(solutions), 1)) + 3):
+        yield k, qmine.miner._class_weights(n, len(solutions), k), solutions, lowest
+
+
+class TestClassReadout:
+    """A round reads its nonce from the two class weights, without the 2^n
+    distribution: the sampler is ``sample_readout`` on ``distribution(k)``
+    and the exact readout is its argmax."""
+
+    @staticmethod
+    def assert_samples_equal(n, problem):
+        # twin generators read the same nonce and stay in the same state
+        for k, weights, solutions, _ in readout_rounds(n, problem):
+            dist = problem.distribution(k)
+            seed = [n, len(solutions), k]
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(3):
+                assert (qmine.miner._sample(weights, solutions, n, ours)
+                        == qmine.statevector.sample_readout(dist, theirs))
+                assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @pytest.mark.parametrize("n, m", SIZES_TO_21)
+    def test_sample_equals_sample_readout_at_every_size(self, n, m):
+        _, params, header, zeros = random_search(n, m)
+        self.assert_samples_equal(n, SearchProblem.build(
+            header, RegisterLayout.standard(n, m), params, zeros))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_sample_equals_sample_readout_at_every_count(self, n):
+        for problem in every_count(n):
+            self.assert_samples_equal(n, problem)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_sample_is_the_exact_inverse_cdf_at_each_step(self, n):
+        # at the draw on or just below each CDF step j / 2^53, one draw step
+        # (2^-53, the generator's resolution) either side, and at the first
+        # and last draw, the nonce is the least v whose cumulative
+        # probability, as a Fraction, exceeds the draw
+        grid = 1 << 53
+        for problem in every_count(n):
+            marked_up_to = np.cumsum(problem.marked).tolist()
+            for _, (marked, other, scale), solutions, _ in readout_rounds(n, problem):
+                cdf = [Fraction(marked * a + other * (v + 1 - a), scale)
+                       for v, a in enumerate(marked_up_to)]
+                steps = {step.numerator * grid // step.denominator for step in cdf}
+                draws = {j + d for j in steps for d in (-1, 0, 1)} | {0, grid - 1}
+                for j in sorted(j for j in draws if 0 <= j < grid):
+                    expected = next(v for v, p in enumerate(cdf) if p > Fraction(j, grid))
+                    assert qmine.miner._sample((marked, other, scale), solutions, n,
+                                               FixedDraw(j / grid)) == expected
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_sample_law_is_the_distribution(self, n):
+        # the draws j / 2^53 that read each nonce, found by bisection over j,
+        # weigh what distribution(k) gives that nonce, to 1e-12
+        grid = 1 << 53
+
+        def first_draw_past(v, sample):
+            low, high = 0, grid
+            while low < high:
+                mid = (low + high) // 2
+                if sample(FixedDraw(mid / grid)) > v:
+                    high = mid
+                else:
+                    low = mid + 1
+            return low
+
+        for problem in every_count(n):
+            for k, weights, solutions, _ in readout_rounds(n, problem):
+                def sample(draw):
+                    return qmine.miner._sample(weights, solutions, n, draw)
+                edges = [0] + [first_draw_past(v, sample) for v in range(1 << n)]
+                law = np.diff(edges) / grid
+                assert np.abs(law - problem.distribution(k)).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_argmax_equals_np_argmax(self, n):
+        # ties included: at k = 0 for every M, and at every k where
+        # M / 2^n = 1/2, every nonce is equally likely and both read nonce 0
+        ties = 0
+        for problem in every_count(n):
+            for k, weights, _, lowest in readout_rounds(n, problem):
+                dist = problem.distribution(k)
+                assert qmine.miner._argmax(weights, lowest) == int(np.argmax(dist))
+                ties += k > 0 and (dist == dist[0]).all()
+        assert ties > 0
+
+    @pytest.mark.parametrize("n, m", SIZES_TO_21)
+    def test_argmax_equals_np_argmax_at_every_size(self, n, m):
+        _, params, header, zeros = random_search(n, m)
+        problem = SearchProblem.build(header, RegisterLayout.standard(n, m), params, zeros)
+        for k, weights, _, lowest in readout_rounds(n, problem):
+            assert qmine.miner._argmax(weights, lowest) == int(np.argmax(problem.distribution(k)))
+
+    def test_a_round_allocates_less_than_2n_bytes(self):
+        # at n = 16, once build's gather and the sorted marked nonces exist,
+        # a round near the budget cap (its weights, a sampled and an exact
+        # readout) allocates less than 2^16 bytes: no 2^n array
+        n = 16
+        problem = SearchProblem.build([1, 2, 3, 4], RegisterLayout.standard(n, 16),
+                                      HashParams(16, 2), 12)
+        (_, _, solutions, lowest), = itertools.islice(readout_rounds(n, problem), 1)
+        assert solutions
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            weights = qmine.miner._class_weights(n, len(solutions), 3 * iteration_count(n, 1))
+            qmine.miner._sample(weights, solutions, n, rng)
+            qmine.miner._argmax(weights, lowest)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << n
 
 
 class TestCarriedState:
@@ -976,13 +1118,13 @@ class TestCarriedState:
     @pytest.fixture
     def asked(self, monkeypatch):
         asked = []
-        distribution = SearchProblem.distribution
+        class_weights = qmine.miner._class_weights
 
-        def spy(problem, iterations):
+        def spy(nonce_bits, solutions, iterations):
             asked.append(iterations)
-            return distribution(problem, iterations)
+            return class_weights(nonce_bits, solutions, iterations)
 
-        monkeypatch.setattr(SearchProblem, "distribution", spy)
+        monkeypatch.setattr(qmine.miner, "_class_weights", spy)
         return asked
 
     def test_unknown_count_restarts_every_round(self, asked):
@@ -1052,20 +1194,18 @@ class TestPrefixFromCompile:
                    for _ in range(8)]
         prefixes = [header_prefix(header, hp) for header in headers]
         read = []
-        distribution, sample = SearchProblem.distribution, qmine.miner.sample_readout
+        argmax, sample = qmine.miner._argmax, qmine.miner._sample
 
-        def record_argmax(problem, iterations):
-            dist = distribution(problem, iterations)
-            if exact:
-                read.append(int(np.argmax(dist)))
-            return dist
-
-        def record_sample(dist, generator):
-            read.append(sample(dist, generator))
+        def record_argmax(*args):
+            read.append(argmax(*args))
             return read[-1]
 
-        monkeypatch.setattr(SearchProblem, "distribution", record_argmax)
-        monkeypatch.setattr(qmine.miner, "sample_readout", record_sample)
+        def record_sample(*args):
+            read.append(sample(*args))
+            return read[-1]
+
+        monkeypatch.setattr(qmine.miner, "_argmax", record_argmax)
+        monkeypatch.setattr(qmine.miner, "_sample", record_sample)
         calls = count_rounds_calls(monkeypatch)
         rounds = 0
         for seed, (header, prefix) in enumerate(zip(headers, prefixes)):
